@@ -1,13 +1,11 @@
 """Inside the permutation distance: isomorphism and mismatch tables.
 
-The cubic-time computation pairs subtrees level by level.  The boolean
-table says which subtree pairs are isomorphic at all; the cost table
-holds the minimum number of label mismatches for each pair, found by
-minimum-weight matchings between children; conserved sets track the
-labels an optimal isomorphism keeps in place.
+The cubic-time computation pairs subtrees level by level.  Canonical
+shape codes say which subtree pairs are isomorphic at all; the cost table
+holds, for isomorphic pairs only, the minimum number of label mismatches for each pair, found by
+minimum-weight matchings between children; the conserved labels of a
+pair are the ones its optimal isomorphism keeps in place.
 """
-
-import numpy as np
 
 import treemoves as tm
 
@@ -15,27 +13,28 @@ t1 = tm.parse_tree("((d,e,f)b,(g,h)c)a;")
 t2 = tm.parse_tree("((b,e)d,(g,f,h)c)a;")
 
 table = tm.mismatch_table(t1, t2)
+rows, cols = sorted(t1.labels), sorted(t2.labels)
 
 print("tree 1:", tm.serialize_tree(t1))
 print("tree 2:", tm.serialize_tree(t2))
 print()
 print("subtree isomorphism (rows: tree 1, columns: tree 2):")
-header = "      " + "  ".join(f"{v:>3}" for v in table.t2_labels)
+header = "      " + "  ".join(f"{v:>3}" for v in cols)
 print(header)
-for i, u in enumerate(table.t1_labels):
-    cells = "  ".join(" + " if table.iso[i, j] else " . " for j in range(len(table.t2_labels)))
+for u in rows:
+    cells = "  ".join(" + " if table.is_isomorphic(u, v) else " . " for v in cols)
     print(f"  {u:>3} {cells}")
 print()
 
 print("mismatch costs where defined:")
-for i, u in enumerate(table.t1_labels):
-    for j, v in enumerate(table.t2_labels):
-        if np.isfinite(table.D[i, j]):
+for u in rows:
+    for v in cols:
+        if table.is_isomorphic(u, v):
             conserved = sorted(table.conserved(u, v))
-            print(f"  D({u}, {v}) = {int(table.D[i, j])}   conserved: {conserved}")
+            print(f"  D({u}, {v}) = {table.mismatch_cost(u, v)}   conserved: {conserved}")
 print()
 
-root_cost = int(table.mismatch_cost(t1.root_child, t2.root_child))
+root_cost = table.mismatch_cost(t1.root_child, t2.root_child)
 print("distance (root entry):", root_cost)
 pi = tm.optimal_permutation(t1, t2, table=table)
 print("recovered permutation:", pi)

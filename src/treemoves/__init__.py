@@ -9,7 +9,6 @@ combined rearrangement distance (exact oracle, budgeted search and a
 
 from .tree import (
     LabelledTree,
-    IsomorphismTable,
     TreeError,
     ParseError,
     DuplicateLabelError,
@@ -19,7 +18,6 @@ from .tree import (
     parse_tree,
     serialize_tree,
     are_congruent,
-    subtree_isomorphism_table,
 )
 from .ops import (
     LinkCutOp,
@@ -46,7 +44,9 @@ from .linkcut import (
     movements_graph,
 )
 from .permutation import (
+    IsomorphismTable,
     NotIsomorphicError,
+    subtree_isomorphism_table,
     mismatch_table,
     permutation_distance,
     optimal_permutation,
@@ -61,7 +61,6 @@ from .rearrangement import (
     brute_force_distance,
     fpt_distance,
     approx_binary,
-    partition_perturbation,
 )
 from .reduction3dm import (
     ThreeDMInstance,

@@ -3,7 +3,7 @@
 Subcommands::
 
     treemoves dist linkcut|perm|exact|fpt|approx T1 T2 [--k N]
-              [--candidates vg|x|all] [--limit N] [--threads N]
+              [--candidates vg|x|all] [--limit N]
     treemoves script T1 T2
     treemoves verify T1 SCRIPT T2
     treemoves gen random --seed S --n N --ops K
@@ -28,7 +28,7 @@ from . import __version__
 from .generate import random_operations, random_recursive_tree
 from .linkcut import linkcut_distance, linkcut_script
 from .ops import OperationSequence, format_script, parse_script
-from .permutation import optimal_permutation, permutation_distance
+from .permutation import optimal_permutation
 from .rearrangement import (
     BudgetExceeded,
     approx_binary,
@@ -71,16 +71,13 @@ def _cmd_dist(args):
         witness = linkcut_script(t1, t2)
         method = "linear"
     elif args.variant == "perm":
-        distance = permutation_distance(t1, t2)
-        witness = OperationSequence((optimal_permutation(t1, t2),))
-        method = "matching"
+        pi = optimal_permutation(t1, t2)
+        distance, witness, method = pi.size, OperationSequence((pi,)), "matching"
     elif args.variant == "exact":
         result = brute_force_distance(t1, t2, max_labels=args.limit)
         distance, witness, method = result.distance, result.witness, result.method
     elif args.variant == "fpt":
-        result = fpt_distance(
-            t1, t2, args.k, candidates=args.candidates, threads=args.threads
-        )
+        result = fpt_distance(t1, t2, args.k, candidates=args.candidates)
         if isinstance(result, BudgetExceeded):
             record.update(
                 exceeded=True,
@@ -182,6 +179,13 @@ def _cmd_gen_reduction(args):
     return 0
 
 
+def _non_negative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="treemoves",
@@ -196,7 +200,9 @@ def _build_parser():
     )
     dist.add_argument("tree1")
     dist.add_argument("tree2")
-    dist.add_argument("--k", type=int, default=4, help="budget for fpt (default 4)")
+    dist.add_argument(
+        "--k", type=_non_negative, default=4, help="budget for fpt (default 4)"
+    )
     dist.add_argument(
         "--candidates",
         choices=["vg", "x", "all"],
@@ -206,9 +212,6 @@ def _build_parser():
     )
     dist.add_argument(
         "--limit", type=int, default=8, help="label cap for the exact oracle"
-    )
-    dist.add_argument(
-        "--threads", type=int, default=1, help="worker threads for the fpt search"
     )
     dist.add_argument("--json", action="store_true")
     dist.set_defaults(handler=_cmd_dist)

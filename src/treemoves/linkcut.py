@@ -33,6 +33,16 @@ class LabelSetMismatchError(TreeError):
     pass
 
 
+def _require_same_labels(t1, t2):
+    if t1.labels != t2.labels:
+        only1 = sorted(set(t1.labels) - set(t2.labels))[:5]
+        only2 = sorted(set(t2.labels) - set(t1.labels))[:5]
+        raise LabelSetMismatchError(
+            f"trees are labelled by different sets "
+            f"(first only: {only1!r}, second only: {only2!r})"
+        )
+
+
 class RootMismatchError(TreeError):
     """The trees disagree on the child of the implicit root.
 
@@ -70,13 +80,10 @@ class MovementsGraph:
 
 
 def _check_pair(t1, t2):
+    # the cached sorted label tuples compare faster than key views, which
+    # keeps repeated calls on the same trees cheap
     if t1 is not t2 and t1._label_tuple() != t2._label_tuple():
-        only1 = sorted(set(t1.labels) - set(t2.labels))[:5]
-        only2 = sorted(set(t2.labels) - set(t1.labels))[:5]
-        raise LabelSetMismatchError(
-            f"trees are labelled by different sets "
-            f"(first only: {only1!r}, second only: {only2!r})"
-        )
+        _require_same_labels(t1, t2)
     if t1.root_child != t2.root_child:
         raise RootMismatchError(
             f"top vertices differ: {t1.root_child!r} vs {t2.root_child!r}"

@@ -11,25 +11,17 @@ scans keep wide matchings (hundreds of children under one vertex) fast.
 Both paths break ties towards lower column indices, so results are
 deterministic and independent of the path taken.
 
-Forbidden pairs are encoded as a large finite weight so the potential
-arithmetic stays exact; callers must guarantee that a fully allowed
-perfect matching exists.
+Every row may be matched to every column: callers with forbidden pairs
+split the problem into independent blocks in which all pairs are allowed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["min_cost_perfect_matching", "forbidden_weight"]
+__all__ = ["min_cost_perfect_matching"]
 
 _NUMPY_THRESHOLD = 48
-
-
-def forbidden_weight(cost_rows):
-    """A weight strictly larger than any allowed perfect matching."""
-    n = len(cost_rows)
-    largest = max((c for row in cost_rows for c in row if c is not None), default=0)
-    return n * largest + 1
 
 
 def min_cost_perfect_matching(cost_rows):
@@ -38,13 +30,12 @@ def min_cost_perfect_matching(cost_rows):
     Parameters
     ----------
     cost_rows: list of lists
-        Square matrix of non-negative integer costs; ``None`` marks a
-        forbidden pair.
+        Square matrix of non-negative integer costs.
 
     Returns
     -------
     total: int
-        Cost of the optimal matching (forbidden pairs excluded).
+        Cost of the optimal matching.
     match: list
         ``match[i]`` is the column assigned to row ``i``.
 
@@ -55,10 +46,8 @@ def min_cost_perfect_matching(cost_rows):
     n = len(cost_rows)
     if n == 0:
         return 0, []
-    big = forbidden_weight(cost_rows)
-    cost = [[big if c is None else c for c in row] for row in cost_rows]
     if n >= _NUMPY_THRESHOLD:
-        return _solve_numpy(cost, big)
+        return _solve_numpy(cost_rows)
 
     # p[j] = row matched to column j; index 0 is a virtual column
     u = [0] * (n + 1)
@@ -76,7 +65,7 @@ def min_cost_perfect_matching(cost_rows):
             i0 = p[j0]
             delta = inf
             j1 = 0
-            row = cost[i0 - 1]
+            row = cost_rows[i0 - 1]
             for j in range(1, n + 1):
                 if used[j]:
                     continue
@@ -105,13 +94,11 @@ def min_cost_perfect_matching(cost_rows):
     total = 0
     for j in range(1, n + 1):
         match[p[j] - 1] = j - 1
-        total += cost[p[j] - 1][j - 1]
-    if total >= big:
-        raise ValueError("no perfect matching avoids the forbidden pairs")
+        total += cost_rows[p[j] - 1][j - 1]
     return total, match
 
 
-def _solve_numpy(cost, big):
+def _solve_numpy(cost):
     """Same algorithm on numpy arrays; column scans are vectorised."""
     n = len(cost)
     grid = np.asarray(cost, dtype=np.float64)
@@ -147,10 +134,8 @@ def _solve_numpy(cost, big):
             p[j0] = p[j1]
             j0 = j1
     match = [0] * n
-    total = 0.0
+    total = 0
     for j in range(1, n + 1):
         match[p[j] - 1] = j - 1
         total += cost[p[j] - 1][j - 1]
-    if total >= big:
-        raise ValueError("no perfect matching avoids the forbidden pairs")
-    return int(total), match
+    return total, match

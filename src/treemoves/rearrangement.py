@@ -22,10 +22,9 @@ from __future__ import annotations
 import itertools
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .linkcut import LabelSetMismatchError, family_partition, linkcut_script
+from .linkcut import _require_same_labels, linkcut_script
 from .ops import (
     LinkCutOp,
     OperationSequence,
@@ -45,7 +44,6 @@ __all__ = [
     "brute_force_distance",
     "fpt_distance",
     "approx_binary",
-    "partition_perturbation",
 ]
 
 logger = logging.getLogger(__name__)
@@ -124,17 +122,6 @@ def verify_sequence(t1, seq, t2):
         logger.info("sequence replays to a different tree")
         return False
     return True
-
-
-def partition_perturbation(t1, t2, pi):
-    """Family partition sizes before and after permuting ``t1`` by ``pi``.
-
-    Applying a permutation of size s can add or remove at most 2*s
-    classes, so the two values always differ by at most ``2 * pi.size``.
-    """
-    before = len(family_partition(t1, t2))
-    after = len(family_partition(apply_permutation(t1, pi), t2))
-    return before, after
 
 
 class _PairSearch:
@@ -258,15 +245,13 @@ def _scan_subsets(ctx, subsets, patterns, cap=_INF):
     return best
 
 
-def _search_best(ctx, candidates, max_support, threads=1):
+def _search_best(ctx, candidates, max_support):
     """Minimum score over permutations with support inside ``candidates``.
 
     Supports are enumerated by increasing size, then lexicographically;
     first-found wins among ties.  A size layer is skipped entirely once
     the support size alone cannot beat the best value, which keeps the
-    oracle fast on easy instances.  With ``threads > 1`` each size layer
-    is split into blocks evaluated concurrently; the winner is selected
-    by (value, enumeration index), so results match the sequential scan.
+    oracle fast on easy instances.
     """
     best_value = _INF
     best_sigma = None
@@ -279,25 +264,11 @@ def _search_best(ctx, candidates, max_support, threads=1):
         if size >= best_value:
             break
         patterns = _derangement_patterns(size)
-        numbered = list(enumerate(itertools.combinations(cands, size)))
-        if threads > 1 and len(numbered) > 1:
-            chunk = max(1, len(numbered) // (threads * 4))
-            blocks = [numbered[i : i + chunk] for i in range(0, len(numbered), chunk)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = pool.map(
-                    lambda b: _scan_subsets(ctx, b, patterns, cap=best_value), blocks
-                )
-                layer = min(results, key=lambda r: (r[0], r[1]))
-        else:
-            layer = _scan_subsets(ctx, numbered, patterns, cap=best_value)
+        numbered = enumerate(itertools.combinations(cands, size))
+        layer = _scan_subsets(ctx, numbered, patterns, cap=best_value)
         if layer[0] < best_value:
             best_value, best_sigma = layer[0], layer[2]
     return best_value, best_sigma
-
-
-def _require_same_labels(t1, t2):
-    if t1.labels != t2.labels:
-        raise LabelSetMismatchError("trees are labelled by different sets")
 
 
 def _assemble(t1, t2, sigma, method):
@@ -325,11 +296,14 @@ def brute_force_distance(t1, t2, max_labels=8):
     ctx = _PairSearch(t1, t2)
     value, sigma = _search_best(ctx, sorted(t1.labels), n)
     result = _assemble(t1, t2, sigma, "oracle")
-    assert result.distance == value
+    if result.distance != value:
+        raise RuntimeError(
+            f"oracle witness has size {result.distance}, search found {value}"
+        )
     return result
 
 
-def fpt_distance(t1, t2, k, candidates="all", threads=1):
+def fpt_distance(t1, t2, k, candidates="all"):
     """Decide whether the rearrangement distance is at most ``k``.
 
     Rejects immediately when the family partition has more than ``2 * k``
@@ -358,7 +332,7 @@ def fpt_distance(t1, t2, k, candidates="all", threads=1):
     lower = (psize + 1) // 2
     if psize > 2 * k:
         return BudgetExceeded(budget=k, lower_bound=lower)
-    value, sigma = _search_best(ctx, ctx.candidate_labels(candidates), k, threads)
+    value, sigma = _search_best(ctx, ctx.candidate_labels(candidates), k)
     if value <= k:
         return _assemble(t1, t2, sigma, "fpt")
     return BudgetExceeded(

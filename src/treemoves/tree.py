@@ -19,13 +19,10 @@ tree whose top vertex is ``a`` with children ``b`` (children d, e, f) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "LabelledTree",
-    "IsomorphismTable",
     "TreeError",
     "ParseError",
     "DuplicateLabelError",
@@ -35,7 +32,6 @@ __all__ = [
     "parse_tree",
     "serialize_tree",
     "are_congruent",
-    "subtree_isomorphism_table",
 ]
 
 _FORBIDDEN = set("(),;")
@@ -376,101 +372,3 @@ def are_congruent(t1, t2):
     exactly when the parent maps coincide.
     """
     return t1 == t2
-
-
-def _depth_buckets(tree):
-    """Vertices grouped by depth, each bucket sorted lexicographically."""
-    depth = tree.depths()
-    height = max(depth.values()) + 1
-    buckets = [[] for _ in range(height)]
-    for v in sorted(depth):
-        buckets[depth[v]].append(v)
-    return buckets
-
-
-def _canonical_codes(t1, t2):
-    """Per-level canonical shape codes, interned jointly across both trees.
-
-    A vertex's code is the sorted tuple of its children's codes, replaced
-    by a small integer unique within the level.  Two vertices at the same
-    depth get the same code exactly when their subtrees are isomorphic.
-    """
-    b1, b2 = _depth_buckets(t1), _depth_buckets(t2)
-    height = max(len(b1), len(b2))
-    code1, code2 = {}, {}
-    for level in range(height - 1, -1, -1):
-        interned = {}
-        for tree, bucket, codes in (
-            (t1, b1[level] if level < len(b1) else [], code1),
-            (t2, b2[level] if level < len(b2) else [], code2),
-        ):
-            for v in bucket:
-                key = tuple(sorted(codes[c] for c in tree.children(v)))
-                codes[v] = interned.setdefault(key, len(interned))
-    return b1, b2, code1, code2
-
-
-@dataclass(eq=False)
-class IsomorphismTable:
-    """Subtree isomorphism between all vertex pairs of two trees.
-
-    ``iso[i, j]`` is True iff the vertices ``t1_labels[i]`` and
-    ``t2_labels[j]`` sit at the same depth and root isomorphic subtrees.
-    Vertices at different depths never compare True, mirroring the
-    level-by-level construction (the matching recurrence only ever asks
-    about same-level pairs).
-
-    The cost layers are filled in by ``treemoves.permutation.mismatch_table``:
-    ``D[i, j]`` is the minimum number of label mismatches over subtree
-    isomorphisms (``inf`` exactly where ``iso`` is False), ``C`` maps label
-    pairs to the conserved labels of one optimal isomorphism, and
-    ``matchings`` stores the optimal child matching of every internal pair.
-    """
-
-    t1_labels: tuple
-    t2_labels: tuple
-    iso: np.ndarray
-    D: np.ndarray | None = None
-    C: dict | None = None
-    matchings: dict | None = None
-
-    def __post_init__(self):
-        self._index1 = {v: i for i, v in enumerate(self.t1_labels)}
-        self._index2 = {v: i for i, v in enumerate(self.t2_labels)}
-
-    def is_isomorphic(self, u, v):
-        return bool(self.iso[self._index1[u], self._index2[v]])
-
-    def mismatch_cost(self, u, v):
-        return self.D[self._index1[u], self._index2[v]]
-
-    def conserved(self, u, v):
-        return self.C[(u, v)]
-
-
-def _table_parts(t1, t2):
-    """Depth buckets, canonical codes and the boolean isomorphism table."""
-    b1, b2, code1, code2 = _canonical_codes(t1, t2)
-    order1 = tuple(sorted(t1.labels))
-    order2 = tuple(sorted(t2.labels))
-    idx1 = {v: i for i, v in enumerate(order1)}
-    idx2 = {v: i for i, v in enumerate(order2)}
-    iso = np.zeros((len(order1), len(order2)), dtype=bool)
-    for level in range(min(len(b1), len(b2))):
-        if not b1[level] or not b2[level]:
-            continue
-        rows = np.fromiter((idx1[v] for v in b1[level]), dtype=np.intp)
-        cols = np.fromiter((idx2[v] for v in b2[level]), dtype=np.intp)
-        c1 = np.fromiter((code1[v] for v in b1[level]), dtype=np.int64)
-        c2 = np.fromiter((code2[v] for v in b2[level]), dtype=np.int64)
-        iso[np.ix_(rows, cols)] = c1[:, None] == c2[None, :]
-    return b1, b2, code1, code2, IsomorphismTable(order1, order2, iso)
-
-
-def subtree_isomorphism_table(t1, t2):
-    """Boolean subtree-isomorphism table over all vertex pairs.
-
-    Computed bottom-up with canonical codes shared across both trees, so
-    the whole table costs O(n log n) plus the O(n1*n2) fill.
-    """
-    return _table_parts(t1, t2)[4]

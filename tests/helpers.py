@@ -89,6 +89,17 @@ def naive_rearrangement_distance(t1, t2):
     return best
 
 
+def partition_perturbation(t1, t2, pi):
+    """Family partition sizes before and after permuting ``t1`` by ``pi``.
+
+    Applying a permutation of size s can add or remove at most 2*s
+    classes, so the two values always differ by at most ``2 * pi.size``.
+    """
+    before = len(tm.family_partition(t1, t2))
+    after = len(tm.family_partition(tm.apply_permutation(t1, pi), t2))
+    return before, after
+
+
 def recursive_isomorphic(t1, u, t2, v):
     """Rooted subtree isomorphism by trying every child bijection."""
     cu = t1.children(u)

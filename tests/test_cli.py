@@ -33,6 +33,15 @@ def test_dist_perm_self(example_files, capsys):
     assert "perm distance: 0" in out
 
 
+def test_dist_perm_json_witness(example_files, capsys):
+    code = main(["dist", "perm", *example_files, "--json"])
+    assert code == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["distance"] == 6
+    assert record["witness"] == "perm b>c c>d d>h e>g g>b h>e"
+    assert record["verified"] is True
+
+
 def test_dist_exact_json(example_files, capsys):
     code = main(["dist", "exact", *example_files, "--json"])
     assert code == 0
@@ -51,6 +60,13 @@ def test_dist_fpt_exceeds(example_files, capsys):
     assert code == 0
     record = json.loads(capsys.readouterr().out)
     assert record["exceeded"] is True and record["budget"] == 2
+
+
+def test_dist_fpt_negative_budget_is_usage_error(example_files, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["dist", "fpt", *example_files, "--k", "-1"])
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_dist_perm_not_isomorphic_is_error(tmp_path, capsys):

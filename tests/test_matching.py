@@ -1,24 +1,9 @@
 import random
 
 import numpy as np
-import pytest
 from scipy.optimize import linear_sum_assignment
 
-from treemoves.matching import _solve_numpy, forbidden_weight, min_cost_perfect_matching
-
-
-def brute_min_cost(matrix):
-    from itertools import permutations
-
-    n = len(matrix)
-    best = None
-    for perm in permutations(range(n)):
-        if any(matrix[i][perm[i]] is None for i in range(n)):
-            continue
-        total = sum(matrix[i][perm[i]] for i in range(n))
-        if best is None or total < best:
-            best = total
-    return best
+from treemoves.matching import _solve_numpy, min_cost_perfect_matching
 
 
 def test_empty():
@@ -29,13 +14,6 @@ def test_known_matrix():
     total, match = min_cost_perfect_matching([[4, 1, 3], [2, 0, 5], [3, 2, 2]])
     assert total == 5
     assert sorted(match) == [0, 1, 2]
-
-
-def test_forbidden_pairs_respected():
-    total, match = min_cost_perfect_matching([[0, None], [None, 0]])
-    assert total == 0 and match == [0, 1]
-    with pytest.raises(ValueError):
-        min_cost_perfect_matching([[None, 0], [None, 0]])
 
 
 def test_matches_scipy_on_random_matrices():
@@ -50,39 +28,15 @@ def test_matches_scipy_on_random_matrices():
         assert sorted(match) == list(range(n))
 
 
-def test_matches_bruteforce_with_forbidden_pairs():
-    rng = random.Random(42)
-    for _ in range(120):
-        n = rng.randint(2, 6)
-        matrix = [
-            [
-                rng.randint(0, 9) if (i == j or rng.random() < 0.6) else None
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        total, match = min_cost_perfect_matching(matrix)
-        assert total == brute_min_cost(matrix)
-        assert all(matrix[i][match[i]] is not None for i in range(n))
-
-
 def test_numpy_path_identical_to_python_path():
     # both paths must agree on the matching itself, not just the total,
     # so crossing the size threshold never changes results
     rng = random.Random(43)
     for _ in range(150):
         n = rng.randint(1, 10)
-        matrix = [
-            [
-                rng.randint(0, 9) if (i == j or rng.random() < 0.7) else None
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        big = forbidden_weight(matrix)
+        matrix = [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)]
         total_py, match_py = min_cost_perfect_matching(matrix)
-        grid = [[big if c is None else c for c in row] for row in matrix]
-        total_np, match_np = _solve_numpy(grid, big)
+        total_np, match_np = _solve_numpy(matrix)
         assert total_py == total_np
         assert match_py == match_np
 

@@ -9,7 +9,7 @@ from treemoves.generate import (
     random_permutation,
     random_recursive_tree,
 )
-from treemoves.tree import _canonical_codes
+from treemoves.permutation import _canonical_codes
 
 from helpers import example_pair
 

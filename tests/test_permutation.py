@@ -50,7 +50,10 @@ def test_table_infinity_matches_iso():
         t1 = random_recursive_tree(rng, rng.randint(2, 10))
         t2, _ = random_relabelling(rng, t1)
         table = tm.mismatch_table(t1, t2)
-        assert np.array_equal(np.isinf(table.D), ~table.iso)
+        for u in t1.labels:
+            for v in t2.labels:
+                assert ((u, v) in table.cost) == table.is_isomorphic(u, v)
+                assert np.isinf(table.mismatch_cost(u, v)) != table.is_isomorphic(u, v)
 
 
 def test_conservation_accounting():

@@ -11,7 +11,7 @@ from treemoves.generate import (
     random_recursive_tree,
 )
 
-from helpers import example_pair, naive_rearrangement_distance
+from helpers import example_pair, naive_rearrangement_distance, partition_perturbation
 
 
 SWAP_BD = tm.Permutation({"b": "d", "d": "b"})
@@ -191,7 +191,7 @@ class TestFpt:
                 else:
                     assert isinstance(result, tm.BudgetExceeded)
 
-    def test_candidate_sets_and_threads_deterministic(self):
+    def test_candidate_sets_deterministic(self):
         rng = random.Random(27)
         for _ in range(10):
             n = rng.randint(3, 7)
@@ -199,8 +199,6 @@ class TestFpt:
             t2, _ = random_operations(rng, t1, 3)
             for k in (2, 4):
                 base = tm.fpt_distance(t1, t2, k)
-                threaded = tm.fpt_distance(t1, t2, k, threads=4)
-                assert base == threaded
                 # narrowed sets never undershoot; any witness they return is real
                 for cand in ("x", "vg"):
                     narrow = tm.fpt_distance(t1, t2, k, candidates=cand)
@@ -263,11 +261,11 @@ class TestApproxBinary:
 class TestPartitionPerturbation:
     def test_example_swap(self):
         t1, t2 = example_pair()
-        assert tm.partition_perturbation(t1, t2, SWAP_BD) == (4, 1)
+        assert partition_perturbation(t1, t2, SWAP_BD) == (4, 1)
 
     def test_empty_permutation(self):
         t1, t2 = example_pair()
-        before, after = tm.partition_perturbation(t1, t2, tm.Permutation())
+        before, after = partition_perturbation(t1, t2, tm.Permutation())
         assert before == after == 4
 
     def test_bound_property(self):
@@ -278,7 +276,7 @@ class TestPartitionPerturbation:
             t2, _ = random_operations(rng, t1, rng.randint(0, 6), keep_top=True)
             movable = sorted(set(t1.labels) - {t1.root_child})
             pi = random_permutation(rng, movable, rng.randint(2, min(4, len(movable))))
-            before, after = tm.partition_perturbation(t1, t2, pi)
+            before, after = partition_perturbation(t1, t2, pi)
             assert before - 2 * pi.size <= after <= before + 2 * pi.size
 
 

@@ -4,7 +4,7 @@ import pytest
 
 import treemoves as tm
 from treemoves.generate import random_recursive_tree, random_relabelling
-from treemoves.tree import _canonical_codes
+from treemoves.permutation import _canonical_codes
 
 from helpers import EXAMPLE_T1, EXAMPLE_T2, example_pair, recursive_isomorphic
 

@@ -90,23 +90,24 @@ def _check_pair(t1, t2):
         )
 
 
+def _active_labels(t1, t2):
+    """Labels whose parents differ, in sorted order, from the cached codes."""
+    _check_pair(t1, t2)
+    labels = t1._label_tuple()
+    differ = np.flatnonzero(t1._parent_codes() != t2._parent_codes())
+    return [labels[i] for i in differ.tolist()]
+
+
 def active_set(t1, t2):
     """Labels whose parents differ between the two trees."""
-    _check_pair(t1, t2)
-    return frozenset(
-        v
-        for (v, p), (_, q) in zip(t1._parent_items(), t2._parent_items())
-        if p != q
-    )
+    return frozenset(_active_labels(t1, t2))
 
 
 def family_partition(t1, t2):
     """Partition of the active set by (parent in t1, parent in t2)."""
-    _check_pair(t1, t2)
     groups: dict = {}
-    for (v, p), (_, q) in zip(t1._parent_items(), t2._parent_items()):
-        if p != q:
-            groups.setdefault((p, q), set()).add(v)
+    for v in _active_labels(t1, t2):
+        groups.setdefault((t1.parent(v), t2.parent(v)), set()).add(v)
     return FamilyPartition({key: frozenset(val) for key, val in groups.items()})
 
 

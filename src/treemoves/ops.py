@@ -166,50 +166,77 @@ class OperationSequence:
         return format_script(self)
 
 
+def _move(parent, op):
+    """Apply one link-and-cut move to a parent map in place.
+
+    The move is valid only if ``op.source`` is the current parent of
+    ``op.child`` and ``op.target`` is not a descendant of ``op.child``;
+    the latter is checked by walking the target's ancestors, O(depth).
+    """
+    for label in (op.child, op.source, op.target):
+        if label not in parent:
+            raise UnknownLabelError(f"no vertex labelled {label!r}")
+    if parent[op.child] != op.source:
+        raise WrongParentError(
+            f"cannot apply {op}: parent of {op.child!r} is "
+            f"{parent[op.child]!r}, not {op.source!r}"
+        )
+    v = op.target
+    while v is not None:
+        if v == op.child:
+            raise DescendantTargetError(
+                f"cannot apply {op}: {op.target!r} is a descendant of {op.child!r}"
+            )
+        v = parent[v]
+    parent[op.child] = op.target
+
+
+def _relabel(parent, pi):
+    """Relabel a parent map by ``pi`` in place, O(n)."""
+    mapping = pi.mapping
+    missing = mapping.keys() - parent.keys()
+    if missing:
+        raise UnknownLabelError(f"permutation moves unknown labels {sorted(missing)!r}")
+    for label, par in parent.items():
+        if par in mapping:
+            parent[label] = mapping[par]
+    # the support is permuted onto itself, so the key set stays the same
+    parent.update({new: parent[old] for old, new in mapping.items()})
+
+
 def apply_linkcut(tree, op):
     """Apply one link-and-cut move, returning a new tree.
 
     The move is valid only if ``op.source`` is the current parent of
     ``op.child`` and ``op.target`` is not a descendant of ``op.child``.
     """
-    for label in (op.child, op.source, op.target):
-        if label not in tree:
-            raise UnknownLabelError(f"no vertex labelled {label!r}")
-    if tree.parent(op.child) != op.source:
-        raise WrongParentError(
-            f"cannot apply {op}: parent of {op.child!r} is "
-            f"{tree.parent(op.child)!r}, not {op.source!r}"
-        )
-    if op.target == op.child or tree.is_descendant(op.target, op.child):
-        raise DescendantTargetError(
-            f"cannot apply {op}: {op.target!r} is a descendant of {op.child!r}"
-        )
     parent = tree.parent_map()
-    parent[op.child] = op.target
+    _move(parent, op)
     return LabelledTree(parent)
 
 
 def apply_permutation(tree, pi):
     """Relabel vertices by ``pi``, returning a new (isomorphic) tree."""
-    missing = pi.support - set(tree.labels)
-    if missing:
-        raise UnknownLabelError(f"permutation moves unknown labels {sorted(missing)!r}")
     if not pi:
         return tree
-    parent = {}
-    for label, par in tree.parent_map().items():
-        parent[pi(label)] = None if par is None else pi(par)
+    parent = tree.parent_map()
+    _relabel(parent, pi)
     return LabelledTree(parent)
 
 
 def replay_sequence(tree, seq):
-    """Apply every operation of ``seq`` in order, validating each one."""
+    """Apply every operation of ``seq`` in order, validating each one.
+
+    The operations act on one parent map and a single tree is built at
+    the end: O(n + sum of target depths + n per permutation).
+    """
+    parent = tree.parent_map()
     for op in seq:
         if isinstance(op, LinkCutOp):
-            tree = apply_linkcut(tree, op)
+            _move(parent, op)
         else:
-            tree = apply_permutation(tree, op)
-    return tree
+            _relabel(parent, op)
+    return LabelledTree(parent)
 
 
 def parse_script(text):

@@ -19,6 +19,8 @@ tree whose top vertex is ``a`` with children ``b`` (children d, e, f) and
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 __all__ = [
@@ -34,7 +36,9 @@ __all__ = [
     "are_congruent",
 ]
 
-_FORBIDDEN = set("(),;")
+# punctuation tokens and maximal label runs; whitespace between them is skipped
+_TOKEN = re.compile(r"[(),;]|[^(),;\s]+")
+_bad_label_char = re.compile(r"[(),;\s]").search
 
 
 class TreeError(ValueError):
@@ -68,7 +72,7 @@ class UnknownLabelError(TreeError):
 def _check_label(label):
     if not isinstance(label, str) or not label:
         raise BadLabelError(f"labels must be non-empty strings, got {label!r}")
-    if any(c in _FORBIDDEN or c.isspace() for c in label):
+    if _bad_label_char(label):
         raise BadLabelError(
             f"label {label!r} contains whitespace or one of '(', ')', ',', ';'"
         )
@@ -87,8 +91,7 @@ class LabelledTree:
         "_children",
         "_top",
         "_hash",
-        "_sorted_items",
-        "_label_tuple_cache",
+        "_sorted_labels",
         "_parent_code_array",
     )
 
@@ -133,8 +136,7 @@ class LabelledTree:
         self._children = children
         self._top = top
         self._hash = None
-        self._sorted_items = None
-        self._label_tuple_cache = None
+        self._sorted_labels = None
         self._parent_code_array = None
 
     @property
@@ -171,21 +173,15 @@ class LabelledTree:
         """Copy of the underlying parent map."""
         return dict(self._parent)
 
-    def _parent_items(self):
-        """(label, parent) pairs sorted by label; cached.
+    def _label_tuple(self):
+        """All labels as a sorted tuple; cached.
 
         Trees over the same label set align positionally, so pairwise
         comparisons run as a single sequential scan.
         """
-        if self._sorted_items is None:
-            self._sorted_items = sorted(self._parent.items())
-        return self._sorted_items
-
-    def _label_tuple(self):
-        """All labels as a sorted tuple; cached."""
-        if self._label_tuple_cache is None:
-            self._label_tuple_cache = tuple(v for v, _ in self._parent_items())
-        return self._label_tuple_cache
+        if self._sorted_labels is None:
+            self._sorted_labels = tuple(sorted(self._parent))
+        return self._sorted_labels
 
     def _parent_codes(self):
         """Parent of the i-th label (sorted order) as its sorted index; cached.
@@ -195,12 +191,12 @@ class LabelledTree:
         vectorised array comparison.
         """
         if self._parent_code_array is None:
-            items = self._parent_items()
-            index = {label: i for i, (label, _) in enumerate(items)}
+            labels = self._label_tuple()
+            index = dict(zip(labels, range(len(labels))))
+            index[None] = -1
+            parent = self._parent
             self._parent_code_array = np.fromiter(
-                (-1 if p is None else index[p] for _, p in items),
-                dtype=np.int64,
-                count=len(items),
+                (index[parent[v]] for v in labels), dtype=np.int64, count=len(labels)
             )
         return self._parent_code_array
 
@@ -274,68 +270,50 @@ def parse_tree(text):
     Raises :class:`ParseError` with a character position on malformed
     input and :class:`DuplicateLabelError` if a label occurs twice.
     """
-    # tokenize: single-char punctuation plus maximal label runs
-    tokens = []  # (kind, value, position)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "(),;":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        j = i
-        while j < n and text[j] not in "(),;" and not text[j].isspace():
-            j += 1
-        tokens.append(("label", text[i:j], i))
-        i = j
-
-    # explicit stack instead of recursion: deep path trees are legal input
-    stack = [[]]  # stack of children accumulators
-    pending = None  # children group waiting for its label
+    # one pass over the tokens: a label is entered as soon as it is read,
+    # and the children of a closed group get their parent when the group's
+    # label follows.  An explicit stack instead of recursion: deep path
+    # trees are legal input.
+    parent = {}
+    stack = [[]]  # labels read so far in each open group
+    pending = None  # children of the group just closed, waiting for its label
     prev = "start"
-    seen = set()
     end_pos = None
-    for kind, value, pos in tokens:
+    for match in _TOKEN.finditer(text):
+        token, pos = match.group(), match.start()
         if end_pos is not None:
             raise ParseError("unexpected content after ';'", pos)
-        if kind == "(":
+        if token == "(":
             if prev not in ("start", "(", ","):
                 raise ParseError("unexpected '('", pos)
             stack.append([])
-        elif kind == ",":
+        elif token == ",":
             if prev != "label" or len(stack) == 1:
                 raise ParseError("unexpected ','", pos)
-        elif kind == ")":
+        elif token == ")":
             if prev != "label" or len(stack) == 1:
                 raise ParseError("unexpected ')'", pos)
             pending = stack.pop()
-        elif kind == ";":
-            if prev != "label" or len(stack) != 1 or pending is not None:
+        elif token == ";":
+            if prev != "label" or len(stack) != 1:
                 raise ParseError("unexpected ';'", pos)
             end_pos = pos
-        else:  # label
+        else:
             if prev not in ("start", "(", ",", ")"):
-                raise ParseError(f"unexpected label {value!r}", pos)
-            if value in seen:
-                raise DuplicateLabelError(f"duplicate label {value!r}")
-            seen.add(value)
-            group = pending if pending is not None else []
-            pending = None
-            stack[-1].append((value, group))
-        prev = kind if kind != "label" else "label"
+                raise ParseError(f"unexpected label {token!r}", pos)
+            if token in parent:
+                raise DuplicateLabelError(f"duplicate label {token!r}")
+            parent[token] = None
+            if pending is not None:
+                for child in pending:
+                    parent[child] = token
+                pending = None
+            stack[-1].append(token)
+            prev = "label"
+            continue
+        prev = token
     if end_pos is None:
         raise ParseError("missing ';' terminator", len(text))
-
-    parent = {}
-    work = [(stack[0][0], None)]  # (node, parent label)
-    while work:
-        (label, group), par = work.pop()
-        parent[label] = par
-        for child in group:
-            work.append((child, label))
     return LabelledTree(parent)
 
 

@@ -89,6 +89,56 @@ def naive_rearrangement_distance(t1, t2):
     return best
 
 
+def rebuild_replay(tree, seq):
+    """Replay ``seq`` by checking and rebuilding a whole tree per operation.
+
+    This is the replay algorithm that predates the in-place one: quadratic,
+    kept only as the reference that ``replay_sequence`` must agree with,
+    result for result and error for error.
+    """
+    for op in seq:
+        if isinstance(op, tm.LinkCutOp):
+            for label in (op.child, op.source, op.target):
+                if label not in tree:
+                    raise tm.UnknownLabelError(f"no vertex labelled {label!r}")
+            if tree.parent(op.child) != op.source:
+                raise tm.WrongParentError(
+                    f"cannot apply {op}: parent of {op.child!r} is "
+                    f"{tree.parent(op.child)!r}, not {op.source!r}"
+                )
+            if op.target == op.child or tree.is_descendant(op.target, op.child):
+                raise tm.DescendantTargetError(
+                    f"cannot apply {op}: {op.target!r} is a descendant of {op.child!r}"
+                )
+            parent = tree.parent_map()
+            parent[op.child] = op.target
+        else:
+            missing = op.support - set(tree.labels)
+            if missing:
+                raise tm.UnknownLabelError(
+                    f"permutation moves unknown labels {sorted(missing)!r}"
+                )
+            parent = {
+                op(v): (None if p is None else op(p))
+                for v, p in tree.parent_map().items()
+            }
+        tree = tm.LabelledTree(parent)
+    return tree
+
+
+def count_tree_builds(monkeypatch):
+    """List that records the size of every ``LabelledTree`` built from now on."""
+    built = []
+    init = tm.LabelledTree.__init__
+
+    def counting_init(self, parent):
+        built.append(len(parent))
+        init(self, parent)
+
+    monkeypatch.setattr(tm.LabelledTree, "__init__", counting_init)
+    return built
+
+
 def partition_perturbation(t1, t2, pi):
     """Family partition sizes before and after permuting ``t1`` by ``pi``.
 

@@ -11,7 +11,7 @@ from treemoves.generate import (
 )
 from treemoves.permutation import _canonical_codes
 
-from helpers import example_pair
+from helpers import count_tree_builds, example_pair, rebuild_replay
 
 
 class TestLinkCut:
@@ -143,3 +143,74 @@ class TestScripts:
             t2, seq = random_operations(rng, t1, rng.randint(0, 6))
             replayed = tm.replay_sequence(t1, tm.parse_script(tm.format_script(seq)))
             assert replayed == t2
+
+
+def _outcome(replay, tree, seq):
+    """The replayed tree, or the class and message of the error raised."""
+    try:
+        return replay(tree, seq)
+    except tm.TreeError as exc:
+        return type(exc), str(exc)
+
+
+def _invalid_op(rng, tree, kind):
+    """An operation that ``tree`` must reject, of the given kind."""
+    labels = sorted(tree.labels)
+    top = tree.root_child
+    if kind == "unknown_perm":
+        v = rng.choice(labels)
+        return tm.Permutation({"zz": v, v: "zz"})
+    if kind == "descendant":
+        inner = [v for v in labels if v != top and tree.children(v)]
+        if inner:
+            v = rng.choice(inner)
+            below = [w for w in labels if tree.is_descendant(w, v)]
+            return tm.LinkCutOp(v, tree.parent(v), rng.choice(below))
+    if kind == "unknown_move":
+        v = rng.choice([w for w in labels if w != top])
+        source = tree.parent(v)
+        triple = [v, source, rng.choice([w for w in labels if w not in (v, source)])]
+        triple[rng.randrange(3)] = "zz"
+        return tm.LinkCutOp(*triple)
+    # wrong source (also for "descendant" on a star, which has no inner
+    # vertex below the top); the top vertex's parent is None, never a label
+    v = rng.choice(labels)
+    source = rng.choice([w for w in labels if w not in (v, tree.parent(v))])
+    return tm.LinkCutOp(v, source, rng.choice([w for w in labels if w not in (v, source)]))
+
+
+class TestReplayAgainstRebuild:
+    KINDS = ["valid", "wrong_source", "descendant", "unknown_move", "unknown_perm", "stale"]
+
+    def test_same_tree_or_same_error(self):
+        rng = random.Random(44)
+        for case in range(360):
+            t1 = random_recursive_tree(rng, rng.randint(3, 14))
+            _, valid = random_operations(rng, t1, rng.randint(0, 8))
+            ops = list(valid)
+            kind = self.KINDS[case % len(self.KINDS)]
+            if kind == "stale":
+                # moves valid on t1, replayed in turn: some become invalid
+                ops += [op for op in (random_move(rng, t1) for _ in range(3)) if op]
+            elif kind != "valid":
+                here = rebuild_replay(t1, ops)
+                ops.append(_invalid_op(rng, here, kind))
+                ops += random_operations(rng, here, 2)[1]  # never reached
+            seq = tm.OperationSequence(ops)
+            expected = _outcome(rebuild_replay, t1, seq)
+            assert _outcome(tm.replay_sequence, t1, seq) == expected, (kind, str(seq))
+            if kind not in ("valid", "stale"):
+                assert not isinstance(expected, tm.LabelledTree)
+            other = random_recursive_tree(rng, len(t1))
+            for t2 in (expected, other):
+                if isinstance(t2, tm.LabelledTree):
+                    assert tm.verify_sequence(t1, seq, t2) == (expected == t2)
+
+    def test_replay_builds_one_tree(self, monkeypatch):
+        rng = random.Random(45)
+        t1 = random_recursive_tree(rng, 300)
+        t2, seq = random_operations(rng, t1, 200)
+        assert len(seq) == 200
+        built = count_tree_builds(monkeypatch)
+        assert tm.replay_sequence(t1, seq) == t2
+        assert built == [300]

@@ -6,7 +6,13 @@ import treemoves as tm
 from treemoves.generate import random_recursive_tree, random_relabelling
 from treemoves.permutation import _canonical_codes
 
-from helpers import EXAMPLE_T1, EXAMPLE_T2, example_pair, recursive_isomorphic
+from helpers import (
+    EXAMPLE_T1,
+    EXAMPLE_T2,
+    count_tree_builds,
+    example_pair,
+    recursive_isomorphic,
+)
 
 
 class TestParse:
@@ -45,6 +51,51 @@ class TestParse:
     def test_syntax_errors(self, text):
         with pytest.raises(tm.ParseError):
             tm.parse_tree(text)
+
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("", 0, "missing ';' terminator"),
+            ("(a)b", 4, "missing ';' terminator"),
+            ("(a;", 2, "unexpected ';'"),
+            ("(a);", 3, "unexpected ';'"),
+            ("((a)b;", 5, "unexpected ';'"),
+            (";", 0, "unexpected ';'"),
+            ("a);", 1, "unexpected ')'"),
+            ("()a;", 1, "unexpected ')'"),
+            ("(a,b,)c;", 5, "unexpected ')'"),
+            ("((a));", 4, "unexpected ')'"),
+            ("(a)(b);", 3, "unexpected '('"),
+            ("a(b);", 1, "unexpected '('"),
+            ("(,a)b;", 1, "unexpected ','"),
+            ("(a,,b)c;", 3, "unexpected ','"),
+            ("(a)b,c;", 4, "unexpected ','"),
+            ("a b;", 2, "unexpected label 'b'"),
+            ("(a)b c;", 5, "unexpected label 'c'"),
+            ("a;b;", 2, "unexpected content after ';'"),
+            ("a;;", 2, "unexpected content after ';'"),
+            ("\t(a)\nb\n;\nz", 9, "unexpected content after ';'"),
+        ],
+    )
+    def test_error_position_and_message(self, text, position, message):
+        with pytest.raises(tm.ParseError) as err:
+            tm.parse_tree(text)
+        assert err.value.position == position
+        assert str(err.value) == f"{message} (at position {position})"
+
+    def test_first_error_in_text_order_wins(self):
+        # a duplicate is reported where it is read, before a later syntax error
+        with pytest.raises(tm.DuplicateLabelError, match="duplicate label 'a'"):
+            tm.parse_tree("(a,a)b")
+        # and content after ';' is reported before it could be a duplicate
+        with pytest.raises(tm.ParseError, match="unexpected content"):
+            tm.parse_tree("a;a")
+
+    def test_parse_builds_one_tree(self, monkeypatch):
+        built = count_tree_builds(monkeypatch)
+        tm.parse_tree(EXAMPLE_T1)
+        tm.parse_tree("x;")
+        assert built == [8, 1]
 
     def test_error_carries_position(self):
         with pytest.raises(tm.ParseError) as err:
@@ -94,6 +145,15 @@ class TestInvariants:
     def test_unknown_parent_rejected(self):
         with pytest.raises(tm.StructureError):
             tm.LabelledTree({"a": None, "b": "z"})
+
+    def test_label_alphabet_is_everything_but_punctuation_and_space(self):
+        every = [chr(c) for c in range(0x110000)]
+        bad = {c for c in every if c in "(),;" or c.isspace()}
+        good = "".join(c for c in every if c not in bad)
+        assert tm.parse_tree(good + ";").root_child == good
+        for c in bad:
+            with pytest.raises(tm.BadLabelError, match="contains whitespace"):
+                tm.LabelledTree({"x" + c: None})
 
     def test_bad_labels_rejected(self):
         with pytest.raises(tm.BadLabelError):

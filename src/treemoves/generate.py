@@ -8,9 +8,9 @@ unbounded degrees.
 
 from __future__ import annotations
 
-from .ops import LinkCutOp, OperationSequence, Permutation, apply_linkcut, apply_permutation
+from .ops import LinkCutOp, OperationSequence, Permutation, _move, _relabel, apply_permutation
 from .reduction3dm import ThreeDMInstance
-from .tree import LabelledTree
+from .tree import LabelledTree, _in_subtree
 
 __all__ = [
     "default_labels",
@@ -78,6 +78,24 @@ def random_permutation(rng, labels, size):
             return Permutation(dict(zip(support, images)))
 
 
+def _draw_move(rng, parent, top, pool):
+    """A random valid move on a parent map, or None if there is none."""
+    non_top = [v for v in pool if v != top]
+    rng.shuffle(non_top)
+    for child in non_top:
+        source = parent[child]
+        for _ in range(20):
+            w = pool[rng.randrange(len(pool))]
+            if w != source and not _in_subtree(parent, w, child):
+                return LinkCutOp(child, source, w)
+        targets = [
+            w for w in pool if w != source and not _in_subtree(parent, w, child)
+        ]
+        if targets:
+            return LinkCutOp(child, source, rng.choice(targets))
+    return None
+
+
 def random_move(rng, tree, labels=None):
     """A randomly chosen valid move, or None if the tree admits none.
 
@@ -86,22 +104,7 @@ def random_move(rng, tree, labels=None):
     ``labels`` may carry a pre-sorted label list to avoid re-sorting.
     """
     pool = labels if labels is not None else sorted(tree.labels)
-    non_top = [v for v in pool if v != tree.root_child]
-    rng.shuffle(non_top)
-    for child in non_top:
-        source = tree.parent(child)
-        for _ in range(20):
-            w = pool[rng.randrange(len(pool))]
-            if w != child and w != source and not tree.is_descendant(w, child):
-                return LinkCutOp(child, source, w)
-        targets = [
-            w
-            for w in pool
-            if w != child and w != source and not tree.is_descendant(w, child)
-        ]
-        if targets:
-            return LinkCutOp(child, source, rng.choice(targets))
-    return None
+    return _draw_move(rng, tree._parent, tree.root_child, pool)
 
 
 def random_operations(rng, tree, count, perm_probability=0.3, keep_top=False):
@@ -109,26 +112,31 @@ def random_operations(rng, tree, count, perm_probability=0.3, keep_top=False):
 
     With ``keep_top`` the top vertex keeps its label (permutations avoid
     it), so the result stays comparable under link-and-cut distance.
+    The operations act on one parent map; one tree is built at the end.
     """
     ops = []
-    all_labels = sorted(tree.labels)
+    parent = tree.parent_map()
+    top = tree.root_child
+    all_labels = sorted(parent)
+    pool_size = len(all_labels) - (1 if keep_top else 0)
     for _ in range(count):
-        pool = [v for v in all_labels if not keep_top or v != tree.root_child]
-        use_perm = len(pool) >= 2 and rng.random() < perm_probability
+        use_perm = pool_size >= 2 and rng.random() < perm_probability
         op = None
         if not use_perm:
-            op = random_move(rng, tree, all_labels)
+            op = _draw_move(rng, parent, top, all_labels)
         if op is None:
-            if len(pool) < 2:
+            if pool_size < 2:
                 break
-            size = rng.randint(2, min(4, len(pool)))
+            pool = [v for v in all_labels if not keep_top or v != top]
+            size = rng.randint(2, min(4, pool_size))
             op = random_permutation(rng, pool, size)
         if isinstance(op, LinkCutOp):
-            tree = apply_linkcut(tree, op)
+            _move(parent, op)
         else:
-            tree = apply_permutation(tree, op)
+            _relabel(parent, op)
+            top = op(top)
         ops.append(op)
-    return tree, OperationSequence(tuple(ops))
+    return LabelledTree(parent), OperationSequence(tuple(ops))
 
 
 def random_relabelling(rng, tree):

@@ -9,9 +9,9 @@ keys form the edges of the *movements graph*.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from operator import ne
 
 from .ops import LinkCutOp, OperationSequence
 from .tree import TreeError
@@ -93,9 +93,8 @@ def _check_pair(t1, t2):
 def _active_labels(t1, t2):
     """Labels whose parents differ, in sorted order, from the cached codes."""
     _check_pair(t1, t2)
-    labels = t1._label_tuple()
-    differ = np.flatnonzero(t1._parent_codes() != t2._parent_codes())
-    return [labels[i] for i in differ.tolist()]
+    differ = map(ne, t1._parent_codes(), t2._parent_codes())
+    return list(itertools.compress(t1._label_tuple(), differ))
 
 
 def active_set(t1, t2):
@@ -114,7 +113,7 @@ def family_partition(t1, t2):
 def linkcut_distance(t1, t2):
     """Length of the shortest link-and-cut sequence turning t1 into t2."""
     _check_pair(t1, t2)
-    return int(np.count_nonzero(t1._parent_codes() != t2._parent_codes()))
+    return sum(map(ne, t1._parent_codes(), t2._parent_codes()))
 
 
 def linkcut_script(t1, t2):

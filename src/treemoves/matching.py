@@ -5,11 +5,7 @@ O(n^3) assignment algorithm.  Rows are inserted one at a time; each
 insertion runs a dense Dijkstra over the columns using reduced costs
 kept non-negative by the potentials.
 
-Small instances run a plain-Python scan; past ``_NUMPY_THRESHOLD`` rows
-the identical algorithm runs on numpy arrays, whose vectorised column
-scans keep wide matchings (hundreds of children under one vertex) fast.
-Both paths break ties towards lower column indices, so results are
-deterministic and independent of the path taken.
+Ties break towards lower column indices, so results are deterministic.
 
 Every row may be matched to every column: callers with forbidden pairs
 split the problem into independent blocks in which all pairs are allowed.
@@ -17,11 +13,7 @@ split the problem into independent blocks in which all pairs are allowed.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["min_cost_perfect_matching"]
-
-_NUMPY_THRESHOLD = 48
 
 
 def min_cost_perfect_matching(cost_rows):
@@ -46,8 +38,6 @@ def min_cost_perfect_matching(cost_rows):
     n = len(cost_rows)
     if n == 0:
         return 0, []
-    if n >= _NUMPY_THRESHOLD:
-        return _solve_numpy(cost_rows)
 
     # p[j] = row matched to column j; index 0 is a virtual column
     u = [0] * (n + 1)
@@ -97,45 +87,3 @@ def min_cost_perfect_matching(cost_rows):
         total += cost_rows[p[j] - 1][j - 1]
     return total, match
 
-
-def _solve_numpy(cost):
-    """Same algorithm on numpy arrays; column scans are vectorised."""
-    n = len(cost)
-    grid = np.asarray(cost, dtype=np.float64)
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
-    minv = np.empty(n + 1)
-    used = np.empty(n + 1, dtype=bool)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv[:] = np.inf
-        used[:] = False
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            cur = grid[i0 - 1] - u[i0] - v[1:]
-            better = ~used[1:] & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            masked = np.where(used[1:], np.inf, minv[1:])
-            j1 = int(np.argmin(masked)) + 1
-            delta = masked[j1 - 1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    match = [0] * n
-    total = 0
-    for j in range(1, n + 1):
-        match[p[j] - 1] = j - 1
-        total += cost[p[j] - 1][j - 1]
-    return total, match

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .tree import BadLabelError, LabelledTree, TreeError, UnknownLabelError, _check_label
+from .tree import _in_subtree
 
 __all__ = [
     "LinkCutOp",
@@ -181,13 +182,10 @@ def _move(parent, op):
             f"cannot apply {op}: parent of {op.child!r} is "
             f"{parent[op.child]!r}, not {op.source!r}"
         )
-    v = op.target
-    while v is not None:
-        if v == op.child:
-            raise DescendantTargetError(
-                f"cannot apply {op}: {op.target!r} is a descendant of {op.child!r}"
-            )
-        v = parent[v]
+    if _in_subtree(parent, op.target, op.child):
+        raise DescendantTargetError(
+            f"cannot apply {op}: {op.target!r} is a descendant of {op.child!r}"
+        )
     parent[op.child] = op.target
 
 

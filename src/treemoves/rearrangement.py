@@ -134,13 +134,15 @@ class _PairSearch:
     """
 
     def __init__(self, t1, t2):
-        self.p1 = t1.parent_map()
-        self.p2 = t2.parent_map()
-        self.c1 = {v: t1.children(v) for v in t1.labels}
+        # the trees' own maps, shared and never written to
+        self.p1 = p1 = t1._parent
+        self.p2 = p2 = t2._parent
+        self.c1 = t1._children
         self.r1 = t1.root_child
         self.r2 = t2.root_child
-        p2 = self.p2
-        self.base_active = sum(1 for v, p in self.p1.items() if p != p2[v])
+        # (label, parent in t1, parent in t2) for every disagreeing label
+        self.differ = [(v, p, p2[v]) for v, p in p1.items() if p != p2[v]]
+        self.base_active = len(self.differ)
 
     def partition_size(self):
         """Number of distinct (parent-in-t1, parent-in-t2) disagreement pairs.
@@ -148,21 +150,10 @@ class _PairSearch:
         The implicit root counts as a parent here, so the size is defined
         even when the two trees disagree on the top vertex.
         """
-        p2 = self.p2
-        return len({(p, p2[v]) for v, p in self.p1.items() if p != p2[v]})
+        return len({(p, q) for _, p, q in self.differ})
 
     def candidate_labels(self, kind):
-        p2 = self.p2
-        verts = set()
-        moved = set()
-        for v, p in self.p1.items():
-            q = p2[v]
-            if p != q:
-                moved.add(v)
-                if p is not None:
-                    verts.add(p)
-                if q is not None:
-                    verts.add(q)
+        verts = {u for _, p, q in self.differ for u in (p, q) if u is not None}
         if self.r1 != self.r2:
             # only a permutation can rename the top vertex
             verts.add(self.r1)
@@ -170,7 +161,7 @@ class _PairSearch:
         if kind == "vg":
             return sorted(verts)
         if kind == "x":
-            return sorted(verts | moved)
+            return sorted(verts.union(v for v, _, _ in self.differ))
         if kind == "all":
             return sorted(self.p1)
         raise ValueError(f"unknown candidate set {kind!r} (want vg, x or all)")

@@ -20,8 +20,7 @@ tree whose top vertex is ``a`` with children ``b`` (children d, e, f) and
 from __future__ import annotations
 
 import re
-
-import numpy as np
+from array import array
 
 __all__ = [
     "LabelledTree",
@@ -76,6 +75,15 @@ def _check_label(label):
         raise BadLabelError(
             f"label {label!r} contains whitespace or one of '(', ')', ',', ';'"
         )
+
+
+def _in_subtree(parent, v, u):
+    """True if ``v`` is ``u`` or a descendant of ``u`` in a parent map, O(depth)."""
+    while v is not None:
+        if v == u:
+            return True
+        v = parent[v]
+    return False
 
 
 class LabelledTree:
@@ -188,16 +196,14 @@ class LabelledTree:
 
         The top vertex gets -1.  Two trees over the same label set share
         the index space, so counting parent disagreements is a single
-        vectorised array comparison.
+        sequential scan over two arrays.
         """
         if self._parent_code_array is None:
             labels = self._label_tuple()
             index = dict(zip(labels, range(len(labels))))
             index[None] = -1
             parent = self._parent
-            self._parent_code_array = np.fromiter(
-                (index[parent[v]] for v in labels), dtype=np.int64, count=len(labels)
-            )
+            self._parent_code_array = array("q", (index[parent[v]] for v in labels))
         return self._parent_code_array
 
     def preorder(self):
@@ -236,12 +242,7 @@ class LabelledTree:
             raise UnknownLabelError(f"no vertex labelled {label!r}")
         if ancestor not in self._parent:
             raise UnknownLabelError(f"no vertex labelled {ancestor!r}")
-        v = self._parent[label]
-        while v is not None:
-            if v == ancestor:
-                return True
-            v = self._parent[v]
-        return False
+        return label != ancestor and _in_subtree(self._parent, label, ancestor)
 
     def is_binary(self):
         """True if every vertex has at most two children."""

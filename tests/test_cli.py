@@ -1,4 +1,7 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +43,43 @@ def test_dist_perm_json_witness(example_files, capsys):
     assert record["distance"] == 6
     assert record["witness"] == "perm b>c c>d d>h e>g g>b h>e"
     assert record["verified"] is True
+
+
+# ``sys.modules[name] = None`` makes every later ``import name`` fail
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+sys.path.insert(0, sys.argv[1])
+from treemoves.cli import main
+for variant in ("linkcut", "perm", "fpt", "exact", "approx"):
+    code = main(["dist", variant, sys.argv[2], sys.argv[3], "--json"])
+    print("exit", code)
+"""
+
+
+def test_dist_runs_without_numpy(example_files):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(src), *example_files],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1::2] == ["exit 0"] * 5
+    records = [json.loads(line) for line in lines[0::2]]
+    common = {"command": "dist", "verified": True}
+    assert records == [
+        {**common, "variant": "linkcut", "distance": 4, "method": "linear",
+         "witness": "move d b a\nmove e b d\nmove f b c\nmove b a d"},
+        {**common, "variant": "perm", "distance": 6, "method": "matching",
+         "witness": "perm b>c c>d d>h e>g g>b h>e"},
+        {**common, "variant": "fpt", "distance": 3, "method": "fpt",
+         "witness": "perm b>d d>b\nmove f d c"},
+        {**common, "variant": "exact", "distance": 3, "method": "oracle",
+         "witness": "perm b>d d>b\nmove f d c"},
+        {**common, "variant": "approx", "distance": 4, "method": "approx",
+         "witness": "perm\nmove d b a\nmove e b d\nmove f b c\nmove b a d"},
+    ]
 
 
 def test_dist_exact_json(example_files, capsys):

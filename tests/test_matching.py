@@ -3,7 +3,7 @@ import random
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from treemoves.matching import _solve_numpy, min_cost_perfect_matching
+from treemoves.matching import min_cost_perfect_matching
 
 
 def test_empty():
@@ -28,20 +28,7 @@ def test_matches_scipy_on_random_matrices():
         assert sorted(match) == list(range(n))
 
 
-def test_numpy_path_identical_to_python_path():
-    # both paths must agree on the matching itself, not just the total,
-    # so crossing the size threshold never changes results
-    rng = random.Random(43)
-    for _ in range(150):
-        n = rng.randint(1, 10)
-        matrix = [[rng.randint(0, 9) for _ in range(n)] for _ in range(n)]
-        total_py, match_py = min_cost_perfect_matching(matrix)
-        total_np, match_np = _solve_numpy(matrix)
-        assert total_py == total_np
-        assert match_py == match_np
-
-
-def test_large_instance_uses_numpy_path():
+def test_large_instance_matches_scipy():
     rng = random.Random(44)
     n = 80
     matrix = [[rng.randint(0, 50) for _ in range(n)] for _ in range(n)]

@@ -20,6 +20,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -186,7 +187,9 @@ def _non_negative(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    # built on first use, not at import, and shared: parsing never changes it
     parser = argparse.ArgumentParser(
         prog="treemoves",
         description="Distances between fully-labelled rooted trees.",

@@ -6,7 +6,7 @@ trying all child matchings.  The production code must agree with these
 on small instances.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import treemoves as tm
 
@@ -124,6 +124,69 @@ def rebuild_replay(tree, seq):
             }
         tree = tm.LabelledTree(parent)
     return tree
+
+
+def exhaustive_support_scan(t1, t2, candidates, max_support, scored=None):
+    """Best ``(value, mapping)`` over permutations with support in ``candidates``.
+
+    This is the support scan that predates the pruned depth-first walk:
+    every support of each size in ``itertools.combinations`` order, its
+    neighbourhood rebuilt as a set and rescanned for the activity it can
+    touch, and the floor test applied support by support.  It is kept
+    only as the reference that ``rearrangement._search_best`` must agree
+    with, value for value and mapping for mapping.  Every scored
+    ``(support, images)`` is appended to ``scored`` when given.
+    """
+    p1, p2 = t1.parent_map(), t2.parent_map()
+    r1, r2 = t1.root_child, t2.root_child
+    base_active = sum(1 for v, p in p1.items() if p != p2[v])
+
+    def score(support, images, aff, base_bad):
+        sigma = dict(zip(support, images))
+        if sigma.get(r1, r1) != r2:
+            return None
+        bad = 0
+        for x in aff:
+            p = p1[x]
+            if p is not None:
+                p = sigma.get(p, p)
+            if p != p2[sigma.get(x, x)]:
+                bad += 1
+        return len(support) + base_active - base_bad + bad
+
+    best_value, best_sigma = (base_active, {}) if r1 == r2 else (float("inf"), None)
+    cands = sorted(candidates)
+    for size in range(2, min(max_support, len(cands)) + 1):
+        if size >= best_value:
+            break
+        patterns = [
+            p for p in permutations(range(size)) if all(p[i] != i for i in range(size))
+        ]
+        layer_value, layer_sigma = float("inf"), None
+        for support in combinations(cands, size):
+            if r1 == r2:
+                if r1 in support:
+                    continue
+            elif r1 not in support or r2 not in support:
+                continue
+            affected = set(support)
+            for s in support:
+                affected.update(t1.children(s))
+            aff = tuple(affected)
+            base_bad = sum(1 for x in aff if p1[x] != p2[x])
+            floor = size + base_active - base_bad
+            if floor >= layer_value or floor >= best_value:
+                continue
+            for pattern in patterns:
+                images = tuple(support[j] for j in pattern)
+                value = score(support, images, aff, base_bad)
+                if scored is not None:
+                    scored.append((support, images))
+                if value is not None and value < layer_value:
+                    layer_value, layer_sigma = value, dict(zip(support, images))
+        if layer_value < best_value:
+            best_value, best_sigma = layer_value, layer_sigma
+    return best_value, best_sigma
 
 
 def count_tree_builds(monkeypatch):

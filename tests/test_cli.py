@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import treemoves as tm
+from treemoves import cli
 from treemoves.cli import main
 
 from helpers import EXAMPLE_T1, EXAMPLE_T2
@@ -80,6 +81,41 @@ def test_dist_runs_without_numpy(example_files):
         {**common, "variant": "approx", "distance": 4, "method": "approx",
          "witness": "perm\nmove d b a\nmove e b d\nmove f b c\nmove b a d"},
     ]
+
+
+_ONE_CALL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from treemoves.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_parser_reuse_changes_no_output(example_files, capsys, monkeypatch):
+    # argparse wraps usage text to $COLUMNS, so pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    t1, t2 = example_files
+    calls = [
+        ["dist", "fpt", t1, t2, "--k", "2", "--json"],
+        ["dist", "fpt", t1, t2, "--k", "x"],
+        ["script", t1, t2],
+        ["dist", "perm", t1, t2, "--json"],
+        ["dist", "fpt", t1, t2, "--k", "2", "--json"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", _ONE_CALL, str(src), *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert json.loads(out)["exceeded"] is True
+    assert cli._build_parser.cache_info().currsize == 1
 
 
 def test_dist_exact_json(example_files, capsys):

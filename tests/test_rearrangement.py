@@ -4,14 +4,21 @@ import random
 import pytest
 
 import treemoves as tm
+from treemoves import rearrangement
 from treemoves.generate import (
     random_binary_tree,
+    random_move,
     random_operations,
     random_permutation,
     random_recursive_tree,
 )
 
-from helpers import example_pair, naive_rearrangement_distance, partition_perturbation
+from helpers import (
+    example_pair,
+    exhaustive_support_scan,
+    naive_rearrangement_distance,
+    partition_perturbation,
+)
 
 
 SWAP_BD = tm.Permutation({"b": "d", "d": "b"})
@@ -220,6 +227,104 @@ class TestFpt:
             narrow = tm.fpt_distance(t1, t2, 5, candidates=cand)
             assert isinstance(narrow, tm.BudgetExceeded)
             assert narrow.best_found == 6
+
+
+def _path(labels):
+    return tm.LabelledTree(dict(zip(labels, [None, *labels[:-1]])))
+
+
+def _scan_pairs(rng, count):
+    """Seeded pairs for the scan comparison: recursive trees and paths,
+    a third of them with the top label swapped away so the roots disagree."""
+    for trial in range(count):
+        n = rng.randint(3, 10)
+        labels = [f"v{i}" for i in range(1, n + 1)]
+        rng.shuffle(labels)
+        t1 = _path(labels) if trial % 4 == 0 else random_recursive_tree(rng, n, labels)
+        t2, _ = random_operations(rng, t1, rng.randint(0, 5), keep_top=True)
+        if trial % 3 == 0:
+            top = t2.root_child
+            other = rng.choice(sorted(set(t2.labels) - {top}))
+            t2 = tm.apply_permutation(t2, tm.Permutation({top: other, other: top}))
+        yield t1, t2
+
+
+def _spy(monkeypatch, name):
+    """Record the support (and images) of every ``_PairSearch.<name>`` call."""
+    calls = []
+    method = getattr(rearrangement._PairSearch, name)
+
+    def spy(self, *args):
+        calls.append(args[:2])
+        return method(self, *args)
+
+    monkeypatch.setattr(rearrangement._PairSearch, name, spy)
+    return calls
+
+
+def _planted_pair(rng, n, size):
+    """A derangement of ``size`` non-top labels plus one move that add
+    ``2 * size + 1`` classes, so the distance is exactly ``size + 1``."""
+    while True:
+        t1 = random_recursive_tree(rng, n)
+        movable = [v for v in t1.labels if v != t1.root_child]
+        mid = tm.apply_permutation(t1, random_permutation(rng, movable, size))
+        if len(tm.family_partition(t1, mid)) != 2 * size:
+            continue
+        t2 = tm.apply_linkcut(mid, random_move(rng, mid))
+        if len(tm.family_partition(t1, t2)) == 2 * size + 1:
+            return t1, t2
+
+
+class TestSupportScan:
+    def test_matches_exhaustive_scan(self, monkeypatch):
+        scored = _spy(monkeypatch, "score")
+        rng = random.Random(31)
+        for trial, (t1, t2) in enumerate(_scan_pairs(rng, 300)):
+            ctx = rearrangement._PairSearch(t1, t2)
+            # every budget 0..6 meets every candidate set across the pairs
+            kinds = ("all", "x", "vg")
+            searches = [(kind, (trial + i) % 7) for i, kind in enumerate(kinds)]
+            if len(t1) <= 8:
+                searches.append(("all", len(t1)))
+            for kind, k in searches:
+                cands = ctx.candidate_labels(kind)
+                expected_scored = []
+                expected = exhaustive_support_scan(t1, t2, cands, k, expected_scored)
+                scored.clear()
+                assert rearrangement._search_best(ctx, cands, k) == expected
+                # the same supports and images are scored, in the same order
+                assert scored == expected_scored
+
+    def test_oracle_answers_match_exhaustive_scan(self):
+        rng = random.Random(32)
+        for t1, t2 in _scan_pairs(rng, 60):
+            if len(t1) > 8:
+                continue
+            value, sigma = exhaustive_support_scan(t1, t2, t1.labels, len(t1))
+            result = tm.brute_force_distance(t1, t2)
+            assert result.distance == value
+            assert result.witness.ops[0] == tm.Permutation(sigma)
+
+    def test_planted_k5_build_count(self, monkeypatch):
+        t1, t2 = _planted_pair(random.Random(3), 36, 4)
+        builds = _spy(monkeypatch, "neighbourhood")
+        result = tm.fpt_distance(t1, t2, 5)
+        assert isinstance(result, tm.RearrangementResult) and result.distance == 5
+        assert tm.verify_sequence(t1, result.witness, t2)
+        # recorded from the pruned scan; the plain scan built 59,500
+        assert len(builds) <= 911
+
+    def test_planted_k7_finishes(self, monkeypatch):
+        # the plain scan built 50,553,206 neighbourhoods here (every
+        # support up to size 6 of 59 labels) and took over four minutes
+        t1, t2 = _planted_pair(random.Random(1), 60, 6)
+        assert len(tm.family_partition(t1, t2)) == 13
+        builds = _spy(monkeypatch, "neighbourhood")
+        result = tm.fpt_distance(t1, t2, 7)
+        assert isinstance(result, tm.RearrangementResult) and result.distance == 7
+        assert tm.verify_sequence(t1, result.witness, t2)
+        assert len(builds) <= 469
 
 
 class TestApproxBinary:

@@ -1,10 +1,12 @@
 """Inside the permutation distance: isomorphism and mismatch tables.
 
-The cubic-time computation pairs subtrees level by level.  Canonical
-shape codes say which subtree pairs are isomorphic at all; the cost table
-holds, for isomorphic pairs only, the minimum number of label mismatches for each pair, found by
-minimum-weight matchings between children; the conserved labels of a
-pair are the ones its optimal isomorphism keeps in place.
+The cubic-time computation pairs subtrees top-down from the root pair,
+memoising each pair it solves.  Canonical shape codes say which subtree
+pairs are isomorphic at all; the cost table holds, for isomorphic pairs
+only, the minimum number of label mismatches for each pair, found by
+minimum-weight matchings between children and filled on demand for
+pairs the root pair does not reach; the conserved labels of a pair are
+the ones its optimal isomorphism keeps in place.
 """
 
 import treemoves as tm

@@ -46,7 +46,6 @@ from .linkcut import (
 from .permutation import (
     IsomorphismTable,
     NotIsomorphicError,
-    subtree_isomorphism_table,
     mismatch_table,
     permutation_distance,
     optimal_permutation,

@@ -2,22 +2,22 @@
 
 The distance is the minimum number of labels a single permutation must
 move to make the first tree congruent to the second.  It equals the
-minimum number of label mismatches over all rooted isomorphisms, which
-is computed bottom-up: the cost of pairing two internal vertices is a
-minimum-weight perfect matching between their children (restricted to
-isomorphic child pairs), plus one if the two vertices' own labels
-disagree.  Total cost is O(n^3).
+minimum number of label mismatches over all rooted isomorphisms: the
+cost of pairing two internal vertices is a minimum-weight perfect
+matching between their children (restricted to isomorphic child pairs),
+plus one if the two vertices' own labels disagree.  Total cost is O(n^3).
 
-Costs are kept only for isomorphic pairs, which are exactly the pairs
-with equal canonical codes.  Each child matching therefore splits into
-one independent square block per child code.  Alongside the costs the
-computation records the optimal child matching of every internal
-isomorphic pair, from which an optimal permutation is recovered.
+Costs exist only for isomorphic pairs, which are exactly the pairs with
+equal canonical codes, so each child matching splits into one
+independent square block per child code.  Costs are memoised top-down
+from the pair asked for, so only the pairs reachable from it through
+same-code child blocks are ever computed; a leaf pair costs one if its
+labels differ and is never stored.  Alongside each internal pair's cost
+the table records its optimal child matching, from which an optimal
+permutation is recovered.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .linkcut import _require_same_labels
 from .matching import min_cost_perfect_matching
@@ -27,7 +27,6 @@ from .tree import TreeError
 __all__ = [
     "IsomorphismTable",
     "NotIsomorphicError",
-    "subtree_isomorphism_table",
     "mismatch_table",
     "permutation_distance",
     "optimal_permutation",
@@ -40,16 +39,6 @@ class NotIsomorphicError(TreeError):
     """Permutation distance is undefined for non-isomorphic trees."""
 
 
-def _depth_buckets(tree):
-    """Vertices grouped by depth, each bucket sorted lexicographically."""
-    depth = tree.depths()
-    height = max(depth.values()) + 1
-    buckets = [[] for _ in range(height)]
-    for v in sorted(depth):
-        buckets[depth[v]].append(v)
-    return buckets
-
-
 def _canonical_codes(t1, t2):
     """Canonical shape codes, interned jointly across both trees.
 
@@ -57,100 +46,119 @@ def _canonical_codes(t1, t2):
     sorted tuple of its children's codes.  Two vertices get the same code
     exactly when they sit at the same depth and root isomorphic subtrees.
     """
-    b1, b2 = _depth_buckets(t1), _depth_buckets(t2)
-    code1, code2 = {}, {}
     interned = {}
-    for level in range(max(len(b1), len(b2)) - 1, -1, -1):
-        for tree, buckets, codes in ((t1, b1, code1), (t2, b2, code2)):
-            for v in buckets[level] if level < len(buckets) else ():
-                key = (level, tuple(sorted(codes[c] for c in tree.children(v))))
-                codes[v] = interned.setdefault(key, len(interned))
-    return b1, b2, code1, code2
+    codes = []
+    for tree in (t1, t2):
+        code, depth = {}, tree.depths()
+        for v in tree.postorder():
+            key = (depth[v], tuple(sorted([code[c] for c in tree.children(v)])))
+            code[v] = interned.setdefault(key, len(interned))
+        codes.append(code)
+    return codes
 
 
-@dataclass(eq=False)
 class IsomorphismTable:
     """Subtree isomorphism and mismatch costs between two trees.
 
     ``code1``/``code2`` map each vertex to its canonical code; two vertices
     are isomorphic (same depth, isomorphic subtrees) iff their codes are
-    equal.  The cost layers are filled in by :func:`mismatch_table`:
-    ``cost`` maps each isomorphic pair to the minimum number of label
-    mismatches over subtree isomorphisms, and ``matchings`` maps each
-    internal isomorphic pair to its optimal child pairs.
+    equal.  ``cost`` memoises, for each internal isomorphic pair computed
+    so far, the minimum number of label mismatches over subtree
+    isomorphisms, and ``matchings`` its optimal child pairs.  Queries on
+    a pair not yet computed fill it, and every internal pair in its child
+    blocks, on demand.
     """
 
-    code1: dict
-    code2: dict
-    cost: dict | None = None
-    matchings: dict | None = None
+    def __init__(self, t1, t2):
+        self.code1, self.code2 = _canonical_codes(t1, t2)
+        self.cost = {}
+        self.matchings = {}
+        self._children1 = t1.children
+        self._children2 = t2.children
 
     def is_isomorphic(self, u, v):
         return self.code1[u] == self.code2[v]
 
     def mismatch_cost(self, u, v):
         """Least mismatch count for the pair; ``inf`` if not isomorphic."""
-        return self.cost.get((u, v), _INF)
+        if self.code1[u] != self.code2[v]:
+            return _INF
+        if not self._children1(u):
+            return int(u != v)
+        if (u, v) not in self.cost:
+            self._fill(u, v)
+        return self.cost[u, v]
 
     def conserved(self, u, v):
         """Labels kept in place by the stored optimal isomorphism of u and v."""
-        kept = set()
+        return frozenset(x for x, y in self._matched(u, v) if x == y)
+
+    def _matched(self, u, v):
+        """Pairs of the stored optimal isomorphism of u and v, (u, v) first."""
+        self.mismatch_cost(u, v)
         stack = [(u, v)]
         while stack:
-            x, y = stack.pop()
-            if x == y:
-                kept.add(x)
-            stack.extend(self.matchings.get((x, y), ()))
-        return frozenset(kept)
+            pair = stack.pop()
+            yield pair
+            stack.extend(self.matchings.get(pair, ()))
 
+    def _fill(self, u, v):
+        """Compute the internal isomorphic pair (u, v) and all it depends on.
 
-def subtree_isomorphism_table(t1, t2):
-    """Subtree isomorphism between all vertex pairs, without cost layers.
-
-    Computed bottom-up with canonical codes shared across both trees, in
-    O(n log n) time.
-    """
-    _, _, code1, code2 = _canonical_codes(t1, t2)
-    return IsomorphismTable(code1, code2)
-
-
-def _match_children(cu, cv, code1, code2, cost):
-    """Optimal child matching, solved as one square block per child code."""
-    blocks = {}
-    for x in cu:
-        blocks.setdefault(code1[x], ([], []))[0].append(x)
-    for y in cv:
-        blocks[code2[y]][1].append(y)
-    total = 0
-    pairs = []
-    for xs, ys in blocks.values():
-        value, match = min_cost_perfect_matching([[cost[x, y] for y in ys] for x in xs])
-        total += value
-        pairs.extend((x, ys[j]) for x, j in zip(xs, match))
-    return total, tuple(pairs)
+        An explicit stack instead of recursion, since paths are deep.  A
+        pair's children are split into one (rows, columns) block per child
+        code; the pair goes back on the stack with its blocks, above the
+        internal pairs of those blocks, and is solved once they are all in
+        ``cost``.
+        """
+        cost, children1, children2 = self.cost, self._children1, self._children2
+        stack = [(u, v, None)]
+        while stack:
+            x, y, blocks = stack.pop()
+            if (x, y) in cost:
+                continue
+            if blocks is None:
+                by_code = {}
+                for a in children1(x):
+                    by_code.setdefault(self.code1[a], ([], []))[0].append(a)
+                for b in children2(y):
+                    by_code[self.code2[b]][1].append(b)
+                blocks = list(by_code.values())
+                stack.append((x, y, blocks))
+                stack.extend(
+                    (a, b, None)
+                    for xs, ys in blocks
+                    if children1(xs[0])
+                    for a in xs
+                    for b in ys
+                    if (a, b) not in cost
+                )
+                continue
+            total = int(x != y)
+            pairs = []
+            for xs, ys in blocks:
+                if children1(xs[0]):
+                    rows = [[cost[a, b] for b in ys] for a in xs]
+                else:
+                    rows = [[int(a != b) for b in ys] for a in xs]
+                value, match = min_cost_perfect_matching(rows)
+                total += value
+                pairs.extend((a, ys[j]) for a, j in zip(xs, match))
+            cost[x, y] = total
+            self.matchings[x, y] = tuple(pairs)
 
 
 def mismatch_table(t1, t2):
-    """Isomorphism table with mismatch costs and optimal child matchings."""
-    _require_same_labels(t1, t2)
-    b1, b2, code1, code2 = _canonical_codes(t1, t2)
-    cost = {}
-    matchings = {}
-    for level in range(min(len(b1), len(b2)) - 1, -1, -1):
-        same_code = {}
-        for v in b2[level]:
-            same_code.setdefault(code2[v], []).append(v)
-        for u in b1[level]:
-            cu = t1.children(u)
-            for v in same_code.get(code1[u], ()):
-                delta = 0 if u == v else 1
-                if not cu:
-                    cost[u, v] = delta
-                    continue
-                total, pairs = _match_children(cu, t2.children(v), code1, code2, cost)
-                cost[u, v] = total + delta
-                matchings[u, v] = pairs
-    return IsomorphismTable(code1, code2, cost, matchings)
+    """Isomorphism table with the root pair's costs and matchings filled in.
+
+    When the roots are isomorphic, every pair reachable from the root
+    pair through same-code child blocks is computed; other pairs are
+    filled when queried.  The trees may be labelled by different sets;
+    :func:`optimal_permutation` requires equal ones.
+    """
+    table = IsomorphismTable(t1, t2)
+    table.mismatch_cost(t1.root_child, t2.root_child)
+    return table
 
 
 def permutation_distance(t1, t2):
@@ -165,20 +173,10 @@ def optimal_permutation(t1, t2, table=None):
     child matchings; each vertex's label is sent to the label of its
     image.  Pass a precomputed ``table`` to avoid recomputing it.
     """
+    _require_same_labels(t1, t2)
     if table is None:
         table = mismatch_table(t1, t2)
-    elif table.matchings is None:
-        raise ValueError("table lacks cost layers; build it with mismatch_table")
     r1, r2 = t1.root_child, t2.root_child
-    if not table.is_isomorphic(r1, r2):
+    if table.mismatch_cost(r1, r2) == _INF:
         raise NotIsomorphicError("trees are not isomorphic as rooted trees")
-    mapping = {}
-    stack = [(r1, r2)]
-    while stack:
-        u, v = stack.pop()
-        if u != v:
-            mapping[u] = v
-        pairs = table.matchings.get((u, v))
-        if pairs:
-            stack.extend(pairs)
-    return Permutation(mapping)
+    return Permutation({x: y for x, y in table._matched(r1, r2) if x != y})

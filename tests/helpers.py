@@ -7,8 +7,10 @@ on small instances.
 """
 
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import treemoves as tm
+from treemoves.matching import min_cost_perfect_matching
 
 EXAMPLE_T1 = "((d,e,f)b,(g,h)c)a;"
 EXAMPLE_T2 = "((b,e)d,(g,f,h)c)a;"
@@ -124,6 +126,74 @@ def rebuild_replay(tree, seq):
             }
         tree = tm.LabelledTree(parent)
     return tree
+
+
+def eager_mismatch_table(t1, t2):
+    """Mismatch costs of every isomorphic pair, filled bottom-up level by level.
+
+    This is the table that predates the top-down memo: vertices bucketed
+    by depth, canonical codes interned level by level, and a cost stored
+    for every same-depth isomorphic pair (leaf pairs included) and an
+    optimal child matching for every internal one, whether or not the
+    root pair needs it.  Child blocks are solved in the same order, so
+    it is kept as the reference ``mismatch_table`` must agree with, cost
+    for cost and matching for matching.  Returns a namespace with
+    ``cost`` and ``matchings``.
+    """
+    buckets = []
+    for tree in (t1, t2):
+        depth = tree.depths()
+        levels = [[] for _ in range(max(depth.values()) + 1)]
+        for v in sorted(depth):
+            levels[depth[v]].append(v)
+        buckets.append(levels)
+    b1, b2 = buckets
+    code1, code2 = {}, {}
+    interned = {}
+    for level in range(max(len(b1), len(b2)) - 1, -1, -1):
+        for tree, levels, codes in ((t1, b1, code1), (t2, b2, code2)):
+            for v in levels[level] if level < len(levels) else ():
+                key = (level, tuple(sorted(codes[c] for c in tree.children(v))))
+                codes[v] = interned.setdefault(key, len(interned))
+    cost, matchings = {}, {}
+    for level in range(min(len(b1), len(b2)) - 1, -1, -1):
+        same_code = {}
+        for v in b2[level]:
+            same_code.setdefault(code2[v], []).append(v)
+        for u in b1[level]:
+            cu = t1.children(u)
+            for v in same_code.get(code1[u], ()):
+                delta = 0 if u == v else 1
+                if not cu:
+                    cost[u, v] = delta
+                    continue
+                blocks = {}
+                for x in cu:
+                    blocks.setdefault(code1[x], ([], []))[0].append(x)
+                for y in t2.children(v):
+                    blocks[code2[y]][1].append(y)
+                total = 0
+                pairs = []
+                for xs, ys in blocks.values():
+                    value, match = min_cost_perfect_matching(
+                        [[cost[x, y] for y in ys] for x in xs]
+                    )
+                    total += value
+                    pairs.extend((x, ys[j]) for x, j in zip(xs, match))
+                cost[u, v] = total + delta
+                matchings[u, v] = tuple(pairs)
+    return SimpleNamespace(cost=cost, matchings=matchings)
+
+
+def matched_pairs(matchings, u, v):
+    """Every pair of the stored optimal isomorphism below (u, v), (u, v) first."""
+    out = []
+    stack = [(u, v)]
+    while stack:
+        pair = stack.pop()
+        out.append(pair)
+        stack.extend(matchings.get(pair, ()))
+    return out
 
 
 def exhaustive_support_scan(t1, t2, candidates, max_support, scored=None):

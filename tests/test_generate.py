@@ -53,7 +53,7 @@ def test_relabelling_isomorphic():
     t = random_recursive_tree(rng, 12)
     moved, pi = random_relabelling(rng, t)
     assert tm.apply_permutation(t, pi) == moved
-    table = tm.subtree_isomorphism_table(t, moved)
+    table = tm.mismatch_table(t, moved)
     assert table.is_isomorphic(t.root_child, moved.root_child)
 
 

@@ -88,7 +88,7 @@ class TestPermutation:
             t = random_recursive_tree(rng, rng.randint(2, 12))
             pi = random_permutation(rng, t.labels, rng.randint(2, min(5, len(t))))
             moved = tm.apply_permutation(t, pi)
-            _, _, c1, c2 = _canonical_codes(t, moved)
+            c1, c2 = _canonical_codes(t, moved)
             assert c1[t.root_child] == c2[moved.root_child]
 
     def test_compose_and_inverse(self):

@@ -5,9 +5,19 @@ import random
 import pytest
 
 import treemoves as tm
-from treemoves.generate import random_recursive_tree, random_relabelling
+from treemoves.generate import (
+    random_binary_tree,
+    random_permutation,
+    random_recursive_tree,
+    random_relabelling,
+)
 
-from helpers import exhaustive_permutation_distance, example_pair
+from helpers import (
+    eager_mismatch_table,
+    exhaustive_permutation_distance,
+    example_pair,
+    matched_pairs,
+)
 
 
 def subtree_size(tree, v):
@@ -51,9 +61,10 @@ def test_table_infinity_matches_iso():
         t1 = random_recursive_tree(rng, rng.randint(2, 10))
         t2, _ = random_relabelling(rng, t1)
         table = tm.mismatch_table(t1, t2)
+        oracle = eager_mismatch_table(t1, t2)
         for u in t1.labels:
             for v in t2.labels:
-                assert ((u, v) in table.cost) == table.is_isomorphic(u, v)
+                assert ((u, v) in oracle.cost) == table.is_isomorphic(u, v)
                 assert math.isinf(table.mismatch_cost(u, v)) != table.is_isomorphic(u, v)
 
 
@@ -154,3 +165,107 @@ class TestOptimalPermutation:
         assert pi.size == size
         assert hashlib.sha256(str(pi).encode()).hexdigest() == digest
         assert tm.apply_permutation(t1, pi) == t2
+
+
+def _relabel(rng, tree, fraction):
+    """``tree`` with about ``fraction`` of its labels permuted among themselves."""
+    if fraction == 1:
+        return random_relabelling(rng, tree)[0]
+    size = min(len(tree), max(2, round(fraction * len(tree))))
+    return tm.apply_permutation(tree, random_permutation(rng, tree.labels, size))
+
+
+def _star(leaves):
+    return tm.LabelledTree({"c": None, **{f"l{i}": "c" for i in range(leaves)}})
+
+
+def _path(n):
+    return tm.LabelledTree({f"p{i}": f"p{i - 1}" if i else None for i in range(n)})
+
+
+def _caterpillar(spine):
+    parent = {}
+    for i in range(spine):
+        parent[f"s{i}"] = f"s{i - 1}" if i else None
+        parent[f"f{i}"] = f"s{i}"
+    return tm.LabelledTree(parent)
+
+
+def _sweep_pairs():
+    rng = random.Random(61)
+    shapes = []
+    for i in range(12):
+        n = rng.randint(2, 60)
+        shapes.append((f"recursive{i}-n{n}", random_recursive_tree(rng, n)))
+        n = rng.randint(2, 60)
+        shapes.append((f"binary{i}-n{n}", random_binary_tree(rng, n)))
+    shapes += [(f"star{m}", _star(m)) for m in (3, 30, 200)]
+    shapes += [(f"path{n}", _path(n)) for n in (2, 40, 300)]
+    shapes += [(f"caterpillar{m}", _caterpillar(m)) for m in (5, 60)]
+    params = []
+    for name, tree in shapes:
+        for fraction, tag in ((0.05, "5pct"), (1, "full")):
+            pair = (tree, _relabel(rng, tree, fraction))
+            params.append(pytest.param(*pair, id=f"{name}-{tag}"))
+    swap = tm.Permutation({"c": "l1", "l1": "c"})
+    for leaves in (3, 30, 200):
+        swapped = tm.apply_permutation(_star(leaves), swap)
+        params.append(pytest.param(_star(leaves), swapped, id=f"star{leaves}-swap"))
+        pair = (_star(leaves), _relabel(rng, swapped, 0.05))
+        params.append(pytest.param(*pair, id=f"star{leaves}-swap-5pct"))
+    return params
+
+
+class TestAgainstEagerTable:
+    """The top-down memo against the level-wise table it replaced."""
+
+    @pytest.mark.parametrize("t1, t2", _sweep_pairs())
+    def test_every_pair(self, t1, t2):
+        table = tm.mismatch_table(t1, t2)
+        oracle = eager_mismatch_table(t1, t2)
+        for u in t1.labels:
+            for v in t2.labels:
+                assert table.mismatch_cost(u, v) == oracle.cost.get((u, v), math.inf)
+                kept = {x for x, y in matched_pairs(oracle.matchings, u, v) if x == y}
+                assert table.conserved(u, v) == kept
+        r1, r2 = t1.root_child, t2.root_child
+        expected = {x: y for x, y in matched_pairs(oracle.matchings, r1, r2) if x != y}
+        assert tm.optimal_permutation(t1, t2).mapping == expected
+
+
+def test_not_isomorphic_rejected_before_matching(monkeypatch):
+    # the deepest vertex stays where it is and a leaf moves below it, so
+    # the second tree is one level taller and the root codes differ
+    rng = random.Random(71)
+    t1 = random_recursive_tree(rng, 2000)
+    depth = t1.depths()
+    deepest = max(sorted(depth), key=depth.get)
+    leaf = next(v for v in sorted(t1.labels) if not t1.children(v) and v != deepest)
+    parent = t1.parent_map()
+    parent[leaf] = deepest
+    t2 = tm.LabelledTree(parent)
+    calls = []
+    solver = tm.permutation.min_cost_perfect_matching
+
+    def counting(rows):
+        calls.append(len(rows))
+        return solver(rows)
+
+    monkeypatch.setattr(tm.permutation, "min_cost_perfect_matching", counting)
+    with pytest.raises(tm.NotIsomorphicError):
+        tm.optimal_permutation(t1, t2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [81, 82])
+def test_storage_follows_reachable_pairs(seed):
+    # every leaf pair at equal depth is isomorphic, so a table that stored
+    # them all would hold millions of entries at this size
+    rng = random.Random(seed)
+    t1 = random_recursive_tree(rng, 20000)
+    t2, _ = random_relabelling(rng, t1)
+    table = tm.mismatch_table(t1, t2)
+    pi = tm.optimal_permutation(t1, t2, table=table)
+    assert tm.apply_permutation(t1, pi) == t2
+    assert pi.size == table.mismatch_cost(t1.root_child, t2.root_child)
+    assert len(table.cost) <= len(t1)

@@ -190,7 +190,7 @@ class TestCongruence:
 class TestIsomorphismTable:
     def test_example_pairs(self):
         t1, t2 = example_pair()
-        table = tm.subtree_isomorphism_table(t1, t2)
+        table = tm.mismatch_table(t1, t2)
         # b (3 leaf children) matches the 3-leaf star under c in t2
         assert table.is_isomorphic("b", "c")
         # b has 4 vertices, d in t2 has 3
@@ -202,7 +202,7 @@ class TestIsomorphismTable:
         for _ in range(25):
             t1 = random_recursive_tree(rng, rng.randint(1, 9))
             t2 = random_recursive_tree(rng, rng.randint(1, 9), labels=None)
-            table = tm.subtree_isomorphism_table(t1, t2)
+            table = tm.mismatch_table(t1, t2)
             d1, d2 = t1.depths(), t2.depths()
             for u in t1.labels:
                 for v in t2.labels:
@@ -221,7 +221,7 @@ class TestIsomorphismTable:
                 expected = recursive_isomorphic(
                     t1, t1.root_child, t2, t2.root_child
                 )
-            table = tm.subtree_isomorphism_table(t1, t2)
+            table = tm.mismatch_table(t1, t2)
             assert table.is_isomorphic(t1.root_child, t2.root_child) == expected
 
     def test_codes_unchanged_by_relabelling(self):
@@ -229,5 +229,5 @@ class TestIsomorphismTable:
         for _ in range(20):
             t = random_recursive_tree(rng, rng.randint(2, 15))
             relabelled, _ = random_relabelling(rng, t)
-            _, _, code1, code2 = _canonical_codes(t, relabelled)
+            code1, code2 = _canonical_codes(t, relabelled)
             assert code1[t.root_child] == code2[relabelled.root_child]

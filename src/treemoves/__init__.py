@@ -56,6 +56,7 @@ from .rearrangement import (
     OracleSizeError,
     sequence_size,
     canonicalize_sequence,
+    check_sequence,
     verify_sequence,
     brute_force_distance,
     fpt_distance,

@@ -34,6 +34,7 @@ from .rearrangement import (
     BudgetExceeded,
     approx_binary,
     brute_force_distance,
+    check_sequence,
     fpt_distance,
     verify_sequence,
 )
@@ -130,8 +131,19 @@ def _cmd_verify(args):
     t2 = _load_tree(args.tree2)
     seq = parse_script(_read(args.script))
     ok = verify_sequence(t1, seq, t2)
-    record = {"command": "verify", "operations": len(seq), "verified": ok}
-    _emit(args, record, [f"verified: {'true' if ok else 'false'}"])
+    # only a failed verification is replayed again, for its reason
+    failed_at, reason = (None, None) if ok else check_sequence(t1, seq, t2)
+    record = {
+        "command": "verify",
+        "operations": len(seq),
+        "verified": ok,
+        "failed_at": failed_at,
+        "reason": reason,
+    }
+    lines = [f"verified: {'true' if ok else 'false'}"]
+    if not ok:
+        lines.append(f"failed at operation {failed_at}: {reason}")
+    _emit(args, record, lines)
     return 0
 
 

@@ -222,18 +222,39 @@ def apply_permutation(tree, pi):
     return LabelledTree(parent)
 
 
+def _replay(parent, seq):
+    """Apply the operations of ``seq`` to a parent map in place, in order.
+
+    Returns ``None`` when every operation applies, else ``(index, error)``
+    for the first invalid one; the operations after it are not applied.
+    A validated move keeps the map a tree (its target is outside the
+    moved subtree, and the top vertex cannot move since its parent is
+    ``None``, never a source label), and a validated permutation is a
+    bijection on labels that are present, so the map stays a tree
+    without being checked again.
+    """
+    for index, op in enumerate(seq):
+        try:
+            if isinstance(op, LinkCutOp):
+                _move(parent, op)
+            else:
+                _relabel(parent, op)
+        except TreeError as exc:
+            return index, exc
+    return None
+
+
 def replay_sequence(tree, seq):
     """Apply every operation of ``seq`` in order, validating each one.
 
     The operations act on one parent map and a single tree is built at
-    the end: O(n + sum of target depths + n per permutation).
+    the end: O(n + sum of target depths + n per permutation).  The first
+    invalid operation raises its error.
     """
     parent = tree.parent_map()
-    for op in seq:
-        if isinstance(op, LinkCutOp):
-            _move(parent, op)
-        else:
-            _relabel(parent, op)
+    failure = _replay(parent, seq)
+    if failure is not None:
+        raise failure[1]
     return LabelledTree(parent)
 
 

@@ -137,6 +137,12 @@ class IsomorphismTable:
             total = int(x != y)
             pairs = []
             for xs, ys in blocks:
+                if len(xs) == 1:
+                    # a 1 x 1 block has one matching: no solver call
+                    a, b = xs[0], ys[0]
+                    total += cost[a, b] if children1(a) else int(a != b)
+                    pairs.append((a, b))
+                    continue
                 if children1(xs[0]):
                     rows = [[cost[a, b] for b in ys] for a in xs]
                 else:

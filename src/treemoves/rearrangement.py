@@ -36,8 +36,9 @@ from .ops import (
     LinkCutOp,
     OperationSequence,
     Permutation,
+    _replay,
     apply_permutation,
-    replay_sequence,
+    replay_sequence,  # noqa: F401  bench/tracing.py times replays at this name
 )
 from .tree import TreeError
 
@@ -47,6 +48,7 @@ __all__ = [
     "OracleSizeError",
     "sequence_size",
     "canonicalize_sequence",
+    "check_sequence",
     "verify_sequence",
     "brute_force_distance",
     "fpt_distance",
@@ -114,21 +116,43 @@ def sequence_size(seq):
     return canonical.ops[0].size + len(canonical) - 1
 
 
+def check_sequence(t1, seq, t2):
+    """Why replaying ``seq`` from ``t1`` does not reach ``t2``, or ``None``.
+
+    The operations act on a copy of ``t1``'s parent map, which is compared
+    with ``t2``'s; no tree is built.  A failure is ``(index, reason)``:
+    the 0-based index of the first invalid operation and its error
+    message, or ``len(seq)`` and the first difference when every
+    operation applies but the final tree is not congruent to ``t2``.
+    """
+    parent = t1.parent_map()
+    failure = _replay(parent, seq)
+    if failure is not None:
+        return failure[0], str(failure[1])
+    target = t2._parent
+    if parent == target:
+        return None
+    if parent.keys() != target.keys():
+        reason = "sequence replays to a tree with a different label set"
+    else:
+        label = next(v for v, p in target.items() if parent[v] != p)
+        reason = (
+            f"sequence replays to a different tree: parent of {label!r} is "
+            f"{parent[label]!r}, not {target[label]!r}"
+        )
+    return len(seq), reason
+
+
 def verify_sequence(t1, seq, t2):
     """True iff replaying ``seq`` from ``t1`` yields a tree congruent to ``t2``.
 
-    Invalid operations during replay make the answer False; the reason is
-    logged at INFO level rather than raised.
+    Invalid operations during replay make the answer False; the reason
+    (see :func:`check_sequence`) is logged at INFO level rather than raised.
     """
-    try:
-        final = replay_sequence(t1, seq)
-    except TreeError as exc:
-        logger.info("sequence replay failed: %s", exc)
-        return False
-    if final != t2:
-        logger.info("sequence replays to a different tree")
-        return False
-    return True
+    failure = check_sequence(t1, seq, t2)
+    if failure is not None:
+        logger.info("sequence check failed at operation %d: %s", *failure)
+    return failure is None
 
 
 class _PairSearch:

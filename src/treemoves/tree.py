@@ -15,10 +15,20 @@ The text format is Newick-like with a mandatory label on every node::
 Whitespace between tokens is ignored.  ``((d,e,f)b,(g,h)c)a;`` denotes a
 tree whose top vertex is ``a`` with children ``b`` (children d, e, f) and
 ``c`` (children g, h).
+
+``LabelledTree(parent)`` is the validated constructor.  The parser alone
+uses the unchecked ``LabelledTree._from_parse(parent, children, top)``,
+because its grammar has already proved what ``__init__`` would check
+again: every label is a valid label read once, ``top`` is the only
+vertex without a parent, every parent is a vertex and every vertex
+reaches ``top``, and ``children`` lists, in ``parent``'s key order, each
+vertex's children as a sorted tuple.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from array import array
 
@@ -138,7 +148,21 @@ class LabelledTree:
         if seen != len(parent):
             raise StructureError("parent map contains a cycle or is disconnected")
 
-        children = {label: tuple(sorted(cs)) for label, cs in kids.items()}
+        self._set(parent, {label: tuple(sorted(cs)) for label, cs in kids.items()}, top)
+
+    @classmethod
+    def _from_parse(cls, parent, children, top):
+        """A tree from structures its caller has already proved, unchecked.
+
+        The caller guarantees the invariants listed in the module
+        docstring, which :func:`parse_tree` proves in its single pass;
+        every other caller uses ``LabelledTree(parent)``.
+        """
+        tree = cls.__new__(cls)
+        tree._set(parent, children, top)
+        return tree
+
+    def _set(self, parent, children, top):
         children[None] = (top,)
         self._parent = parent
         self._children = children
@@ -266,56 +290,75 @@ class LabelledTree:
 
 
 def parse_tree(text):
-    """Parse tree text into a :class:`LabelledTree`.
+    """Parse tree text into a :class:`LabelledTree`, validating in one pass.
 
+    The grammar check is the tree check: a label token is a valid label,
+    is entered once, and its children are the group that closed just
+    before it, so the parent map, the sorted children and the top vertex
+    are complete when ``;`` is read and no second validation pass runs.
     Raises :class:`ParseError` with a character position on malformed
-    input and :class:`DuplicateLabelError` if a label occurs twice.
+    input and :class:`DuplicateLabelError` if a label occurs twice; the
+    first error in text order wins.
     """
-    # one pass over the tokens: a label is entered as soon as it is read,
-    # and the children of a closed group get their parent when the group's
-    # label follows.  An explicit stack instead of recursion: deep path
-    # trees are legal input.
+    # An explicit stack instead of recursion: deep path trees are legal
+    # input.  Tokens are plain strings; a character position is recovered
+    # only for an error, by re-scanning up to the failing token, whose
+    # index is the number of tokens the iterator has handed out so far.
+    tokens = _TOKEN.findall(text)
+    rest = iter(tokens)
+
+    def error(message, ahead=0):
+        index = len(tokens) - operator.length_hint(rest) - 1 + ahead
+        return ParseError(message, _position(text, index))
+
     parent = {}
-    stack = [[]]  # labels read so far in each open group
-    pending = None  # children of the group just closed, waiting for its label
+    children = {}
+    stack = []  # the enclosing open groups
+    group = []  # labels read so far in the innermost open group
+    closed = None  # the group just closed: children of the next label
     prev = "start"
-    end_pos = None
-    for match in _TOKEN.finditer(text):
-        token, pos = match.group(), match.start()
-        if end_pos is not None:
-            raise ParseError("unexpected content after ';'", pos)
-        if token == "(":
-            if prev not in ("start", "(", ","):
-                raise ParseError("unexpected '('", pos)
-            stack.append([])
-        elif token == ",":
-            if prev != "label" or len(stack) == 1:
-                raise ParseError("unexpected ','", pos)
-        elif token == ")":
-            if prev != "label" or len(stack) == 1:
-                raise ParseError("unexpected ')'", pos)
-            pending = stack.pop()
-        elif token == ";":
-            if prev != "label" or len(stack) != 1:
-                raise ParseError("unexpected ';'", pos)
-            end_pos = pos
-        else:
-            if prev not in ("start", "(", ",", ")"):
-                raise ParseError(f"unexpected label {token!r}", pos)
+    for token in rest:
+        if token not in "(),;":
+            if prev == "label":
+                raise error(f"unexpected label {token!r}")
             if token in parent:
                 raise DuplicateLabelError(f"duplicate label {token!r}")
             parent[token] = None
-            if pending is not None:
-                for child in pending:
+            if prev == ")":
+                for child in closed:
                     parent[child] = token
-                pending = None
-            stack[-1].append(token)
+                closed.sort()
+                children[token] = tuple(closed)
+            else:
+                children[token] = ()
+            group.append(token)
             prev = "label"
             continue
-        prev = token
-    if end_pos is None:
-        raise ParseError("missing ';' terminator", len(text))
-    return LabelledTree(parent)
+        if token == "(":
+            if prev == "label" or prev == ")":
+                raise error("unexpected '('")
+            stack.append(group)
+            group = []
+        elif prev != "label":
+            raise error(f"unexpected {token!r}")
+        elif token == ";":
+            if stack:
+                raise error("unexpected ';'")
+            if operator.length_hint(rest):
+                raise error("unexpected content after ';'", ahead=1)
+            return LabelledTree._from_parse(parent, children, group[0])
+        elif not stack:  # ',' or ')' outside every group
+            raise error(f"unexpected {token!r}")
+        elif token == ")":
+            closed = group
+            group = stack.pop()
+        prev = token  # a ',' only changes the state
+    raise ParseError("missing ';' terminator", len(text))
+
+
+def _position(text, index):
+    """Character offset of the ``index``-th token of ``text``."""
+    return next(itertools.islice(_TOKEN.finditer(text), index, None)).start()
 
 
 def serialize_tree(tree):

@@ -260,15 +260,25 @@ def exhaustive_support_scan(t1, t2, candidates, max_support, scored=None):
 
 
 def count_tree_builds(monkeypatch):
-    """List that records the size of every ``LabelledTree`` built from now on."""
+    """List that records the size of every ``LabelledTree`` built from now on.
+
+    Both constructors are counted: the validated ``__init__`` and the
+    parser's unchecked ``_from_parse``.
+    """
     built = []
     init = tm.LabelledTree.__init__
+    from_parse = tm.LabelledTree._from_parse
 
     def counting_init(self, parent):
         built.append(len(parent))
         init(self, parent)
 
+    def counting_from_parse(cls, parent, children, top):
+        built.append(len(parent))
+        return from_parse(parent, children, top)
+
     monkeypatch.setattr(tm.LabelledTree, "__init__", counting_init)
+    monkeypatch.setattr(tm.LabelledTree, "_from_parse", classmethod(counting_from_parse))
     return built
 
 

@@ -179,7 +179,29 @@ def test_verify_false(example_files, tmp_path, capsys):
     script_file.write_text("move d b a\n")
     code = main(["verify", example_files[0], str(script_file), example_files[1]])
     assert code == 0
-    assert capsys.readouterr().out.strip() == "verified: false"
+    assert capsys.readouterr().out.splitlines() == [
+        "verified: false",
+        "failed at operation 1: sequence replays to a different tree: "
+        "parent of 'b' is 'a', not 'd'",
+    ]
+
+
+def test_verify_json_failure_fields(example_files, tmp_path, capsys):
+    script_file = tmp_path / "ops.txt"
+    for text, failed_at, reason in [
+        ("perm b>d d>b\nmove f d c\n", None, None),
+        ("move d c a\n", 0, "cannot apply move d c a: parent of 'd' is 'b', not 'c'"),
+    ]:
+        script_file.write_text(text)
+        args = ["verify", example_files[0], str(script_file), example_files[1], "--json"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "verify",
+            "operations": text.count("\n"),
+            "verified": failed_at is None,
+            "failed_at": failed_at,
+            "reason": reason,
+        }
 
 
 def test_gen_random_deterministic(capsys):

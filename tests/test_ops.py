@@ -202,9 +202,21 @@ class TestReplayAgainstRebuild:
             if kind not in ("valid", "stale"):
                 assert not isinstance(expected, tm.LabelledTree)
             other = random_recursive_tree(rng, len(t1))
-            for t2 in (expected, other):
-                if isinstance(t2, tm.LabelledTree):
+            if isinstance(expected, tm.LabelledTree):
+                for t2 in (expected, other):
+                    failure = tm.check_sequence(t1, seq, t2)
+                    assert (failure is None) == (expected == t2)
                     assert tm.verify_sequence(t1, seq, t2) == (expected == t2)
+                    if failure is not None:
+                        assert failure[0] == len(seq)
+                        assert failure[1].startswith("sequence replays to a")
+            else:
+                assert not tm.verify_sequence(t1, seq, other)
+                # the failing operation is the first whose prefix the oracle rejects
+                index, reason = tm.check_sequence(t1, seq, other)
+                assert reason == expected[1]
+                rebuild_replay(t1, seq.ops[:index])
+                assert _outcome(rebuild_replay, t1, seq.ops[: index + 1]) == expected
 
     def test_replay_builds_one_tree(self, monkeypatch):
         rng = random.Random(45)
@@ -214,3 +226,13 @@ class TestReplayAgainstRebuild:
         built = count_tree_builds(monkeypatch)
         assert tm.replay_sequence(t1, seq) == t2
         assert built == [300]
+
+    def test_verify_builds_no_tree(self, monkeypatch):
+        rng = random.Random(45)
+        t1 = random_recursive_tree(rng, 300)
+        t2, seq = random_operations(rng, t1, 200)
+        built = count_tree_builds(monkeypatch)
+        assert tm.verify_sequence(t1, seq, t2)
+        assert tm.check_sequence(t1, seq, t2) is None
+        assert not tm.verify_sequence(t1, seq, t1)
+        assert built == []

@@ -257,6 +257,23 @@ def test_not_isomorphic_rejected_before_matching(monkeypatch):
     assert calls == []
 
 
+def test_path_fills_without_solver(monkeypatch):
+    # every child block of a path is 1 x 1, so its one matching is forced
+    rng = random.Random(72)
+    labels = [f"p{i}" for i in range(3000)]
+    images = rng.sample(labels, len(labels))
+    t1 = tm.LabelledTree({v: labels[i - 1] if i else None for i, v in enumerate(labels)})
+    t2 = tm.LabelledTree({v: images[i - 1] if i else None for i, v in enumerate(images)})
+    calls = []
+    monkeypatch.setattr(tm.permutation, "min_cost_perfect_matching", calls.append)
+    table = tm.mismatch_table(t1, t2)
+    pi = tm.optimal_permutation(t1, t2, table)
+    assert calls == []
+    assert len(table.cost) == len(labels) - 1
+    assert pi.mapping == {a: b for a, b in zip(labels, images) if a != b}
+    assert table.mismatch_cost(t1.root_child, t2.root_child) == pi.size
+
+
 @pytest.mark.parametrize("seed", [81, 82])
 def test_storage_follows_reachable_pairs(seed):
     # every leaf pair at equal depth is isomorphic, so a table that stored

@@ -81,6 +81,48 @@ class TestVerify:
         assert not tm.verify_sequence(t1, bad, t2)
 
 
+class TestCheckSequence:
+    MOVE_D = tm.LinkCutOp("d", "b", "a")
+
+    @pytest.mark.parametrize(
+        "ops, failure",
+        [
+            ((SWAP_BD, tm.LinkCutOp("f", "d", "c")), None),
+            (
+                (MOVE_D, tm.LinkCutOp("e", "a", "d")),
+                (1, "cannot apply move e a d: parent of 'e' is 'b', not 'a'"),
+            ),
+            (
+                (tm.LinkCutOp("b", "a", "d"), MOVE_D),
+                (0, "cannot apply move b a d: 'd' is a descendant of 'b'"),
+            ),
+            ((SWAP_BD, tm.LinkCutOp("zz", "d", "c")), (1, "no vertex labelled 'zz'")),
+            (
+                (MOVE_D, tm.Permutation({"b": "zz", "zz": "b"})),
+                (1, "permutation moves unknown labels ['zz']"),
+            ),
+            (
+                (SWAP_BD,),
+                (1, "sequence replays to a different tree: parent of 'f' is 'd', not 'c'"),
+            ),
+        ],
+        ids=["valid", "wrong_source", "descendant", "unknown_label", "bad_perm", "final"],
+    )
+    def test_index_and_reason(self, ops, failure):
+        t1, t2 = example_pair()
+        seq = tm.OperationSequence(ops)
+        assert tm.check_sequence(t1, seq, t2) == failure
+        assert tm.verify_sequence(t1, seq, t2) == (failure is None)
+
+    def test_different_label_set(self):
+        t1, _ = example_pair()
+        other = tm.parse_tree("((d,e,f)b,(g,h)c)z;")
+        assert tm.check_sequence(t1, tm.OperationSequence(), other) == (
+            0,
+            "sequence replays to a tree with a different label set",
+        )
+
+
 class TestBruteForce:
     def test_example_distance(self):
         t1, t2 = example_pair()

@@ -15,6 +15,28 @@ from helpers import (
 )
 
 
+def _shuffled_text(tree, rng):
+    """Tree text with every child list in random order; iterative, paths are deep."""
+    parts, stack = [], [tree.root_child]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, tuple):
+            parts.append(v[0])
+            continue
+        kids = list(tree.children(v))
+        if not kids:
+            parts.append(v)
+            continue
+        rng.shuffle(kids)
+        parts.append("(")
+        stack.append((")" + v,))
+        for i, child in enumerate(kids):
+            if i:
+                stack.append((",",))
+            stack.append(child)
+    return "".join(parts) + ";"
+
+
 class TestParse:
     def test_example_tree(self):
         t = tm.parse_tree(EXAMPLE_T1)
@@ -92,10 +114,25 @@ class TestParse:
             tm.parse_tree("a;a")
 
     def test_parse_builds_one_tree(self, monkeypatch):
+        # the parser's unchecked constructor must give exactly the tree the
+        # validated one gives, from text whose child lists are out of order
+        rng = random.Random(19)
+        trees = [random_recursive_tree(rng, rng.randint(1, 300)) for _ in range(30)]
+        trees.append(tm.LabelledTree({f"p{i}": f"p{i - 1}" if i else None for i in range(20000)}))
+        trees.append(tm.LabelledTree({"c": None, **{f"l{i}": "c" for i in range(300)}}))
+        caterpillar = {f"s{i}": f"s{i - 1}" if i else None for i in range(50)}
+        caterpillar.update({f"s{i}x{j}": f"s{i}" for i in range(50) for j in range(3)})
+        trees.append(tm.LabelledTree(caterpillar))
+        texts = [_shuffled_text(t, rng) for t in trees] + ["x;"]
         built = count_tree_builds(monkeypatch)
-        tm.parse_tree(EXAMPLE_T1)
-        tm.parse_tree("x;")
-        assert built == [8, 1]
+        parsed = [tm.parse_tree(text) for text in texts]
+        assert built == [len(t) for t in trees] + [1]  # no intermediate tree
+        for t, source in zip(parsed, trees + [None]):
+            validated = tm.LabelledTree(t.parent_map())
+            assert list(t._parent.items()) == list(validated._parent.items())
+            assert list(t._children.items()) == list(validated._children.items())
+            assert t.root_child == validated.root_child
+            assert source is None or t == source
 
     def test_error_carries_position(self):
         with pytest.raises(tm.ParseError) as err:

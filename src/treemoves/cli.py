@@ -116,13 +116,14 @@ def _cmd_script(args):
     t1 = _load_tree(args.tree1)
     t2 = _load_tree(args.tree2)
     seq = linkcut_script(t1, t2)
+    script = format_script(seq)
     record = {
         "command": "script",
         "length": len(seq),
-        "script": format_script(seq),
+        "script": script,
         "verified": verify_sequence(t1, seq, t2),
     }
-    _emit(args, record, format_script(seq).splitlines())
+    _emit(args, record, script.splitlines())
     return 0
 
 

@@ -24,17 +24,23 @@ __all__ = [
 ]
 
 
-def default_labels(n, prefix="v"):
-    return [f"{prefix}{i}" for i in range(1, n + 1)]
+def default_labels(n):
+    return [f"v{i}" for i in range(1, n + 1)]
 
 
-def random_recursive_tree(rng, n, labels=None):
-    """Uniform random recursive tree: vertex i attaches to a uniform earlier one."""
+def _tree_labels(n, labels):
+    """The ``n`` labels of a new tree: ``labels``, or ``default_labels(n)``."""
     if n < 1:
         raise ValueError("a tree needs at least one vertex")
     labels = list(labels) if labels is not None else default_labels(n)
     if len(labels) != n:
         raise ValueError(f"need exactly {n} labels, got {len(labels)}")
+    return labels
+
+
+def random_recursive_tree(rng, n, labels=None):
+    """Uniform random recursive tree: vertex i attaches to a uniform earlier one."""
+    labels = _tree_labels(n, labels)
     parent = {labels[0]: None}
     for i in range(1, n):
         parent[labels[i]] = labels[rng.randrange(i)]
@@ -43,11 +49,7 @@ def random_recursive_tree(rng, n, labels=None):
 
 def random_binary_tree(rng, n, labels=None):
     """Random tree where every vertex keeps at most two children."""
-    if n < 1:
-        raise ValueError("a tree needs at least one vertex")
-    labels = list(labels) if labels is not None else default_labels(n)
-    if len(labels) != n:
-        raise ValueError(f"need exactly {n} labels, got {len(labels)}")
+    labels = _tree_labels(n, labels)
     parent = {labels[0]: None}
     open_slots = [labels[0]]
     load: dict = {labels[0]: 0}
@@ -96,15 +98,13 @@ def _draw_move(rng, parent, top, pool):
     return None
 
 
-def random_move(rng, tree, labels=None):
+def random_move(rng, tree):
     """A randomly chosen valid move, or None if the tree admits none.
 
     Rejection-samples targets first (nearly always immediate on random
     trees) and only falls back to a full scan on adversarial shapes.
-    ``labels`` may carry a pre-sorted label list to avoid re-sorting.
     """
-    pool = labels if labels is not None else sorted(tree.labels)
-    return _draw_move(rng, tree._parent, tree.root_child, pool)
+    return _draw_move(rng, tree._parent, tree.root_child, sorted(tree.labels))
 
 
 def random_operations(rng, tree, count, perm_probability=0.3, keep_top=False):

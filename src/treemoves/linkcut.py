@@ -9,7 +9,6 @@ keys form the edges of the *movements graph*.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import ne
 
@@ -90,23 +89,24 @@ def _check_pair(t1, t2):
         )
 
 
-def _active_labels(t1, t2):
-    """Labels whose parents differ, in sorted order, from the cached codes."""
-    _check_pair(t1, t2)
-    differ = map(ne, t1._parent_codes(), t2._parent_codes())
-    return list(itertools.compress(t1._label_tuple(), differ))
+def _disagreements(p1, p2):
+    """``(label, parent in p1, parent in p2)`` for every label whose parents
+    differ, in ``p1``'s key order; both maps hold the same labels."""
+    return [(v, p, p2[v]) for v, p in p1.items() if p != p2[v]]
 
 
 def active_set(t1, t2):
     """Labels whose parents differ between the two trees."""
-    return frozenset(_active_labels(t1, t2))
+    _check_pair(t1, t2)
+    return frozenset(v for v, _, _ in _disagreements(t1._parent, t2._parent))
 
 
 def family_partition(t1, t2):
     """Partition of the active set by (parent in t1, parent in t2)."""
+    _check_pair(t1, t2)
     groups: dict = {}
-    for v in _active_labels(t1, t2):
-        groups.setdefault((t1.parent(v), t2.parent(v)), set()).add(v)
+    for v, p, q in _disagreements(t1._parent, t2._parent):
+        groups.setdefault((p, q), set()).add(v)
     return FamilyPartition({key: frozenset(val) for key, val in groups.items()})
 
 
@@ -125,8 +125,7 @@ def linkcut_script(t1, t2):
     moved subtree, so every move is valid when replayed in order.
     """
     _check_pair(t1, t2)
-    p1 = t1.parent_map()
-    p2 = t2.parent_map()
+    p1, p2 = t1._parent, t2._parent
     ops = [
         LinkCutOp(v, p1[v], p2[v])
         for v in t1.postorder()

@@ -5,7 +5,8 @@ O(n^3) assignment algorithm.  Rows are inserted one at a time; each
 insertion runs a dense Dijkstra over the columns using reduced costs
 kept non-negative by the potentials.
 
-Ties break towards lower column indices, so results are deterministic.
+The result is deterministic for a given row and column order; how ties
+fall is described at :func:`min_cost_perfect_matching`.
 
 Every row may be matched to every column: callers with forbidden pairs
 split the problem into independent blocks in which all pairs are allowed.
@@ -31,9 +32,11 @@ def min_cost_perfect_matching(cost_rows):
     match: list
         ``match[i]`` is the column assigned to row ``i``.
 
-    Ties are broken deterministically: rows are inserted in index order
-    and the column scan prefers lower indices, so callers that order rows
-    and columns lexicographically get a reproducible matching.
+    The matching is deterministic for a given row and column order: rows
+    are inserted in index order and the column scan prefers lower
+    indices.  Among matchings of equal cost, which one is returned depends
+    on the augmenting paths: for ``[[1, 0], [1, 0]]`` row 0 takes column 1
+    first and keeps it, so ``match`` is ``[1, 0]``, not ``[0, 1]``.
     """
     n = len(cost_rows)
     if n == 0:

@@ -191,7 +191,7 @@ def _move(parent, op):
 
 def _relabel(parent, pi):
     """Relabel a parent map by ``pi`` in place, O(n)."""
-    mapping = pi.mapping
+    mapping = pi._map
     missing = mapping.keys() - parent.keys()
     if missing:
         raise UnknownLabelError(f"permutation moves unknown labels {sorted(missing)!r}")
@@ -208,18 +208,14 @@ def apply_linkcut(tree, op):
     The move is valid only if ``op.source`` is the current parent of
     ``op.child`` and ``op.target`` is not a descendant of ``op.child``.
     """
-    parent = tree.parent_map()
-    _move(parent, op)
-    return LabelledTree(parent)
+    return replay_sequence(tree, (op,))
 
 
 def apply_permutation(tree, pi):
     """Relabel vertices by ``pi``, returning a new (isomorphic) tree."""
     if not pi:
         return tree
-    parent = tree.parent_map()
-    _relabel(parent, pi)
-    return LabelledTree(parent)
+    return replay_sequence(tree, (pi,))
 
 
 def _replay(parent, seq):
@@ -259,30 +255,35 @@ def replay_sequence(tree, seq):
 
 
 def parse_script(text):
-    """Parse the one-operation-per-line script format."""
+    """Parse the one-operation-per-line script format.
+
+    An error keeps its class, and its message starts with ``line N: ``.
+    """
     ops = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        kind, args = fields[0], fields[1:]
-        if kind == "move":
-            if len(args) != 3:
-                raise TreeError(f"line {lineno}: move needs CHILD FROM TO: {line!r}")
-            ops.append(LinkCutOp(*args))
-        elif kind == "perm":
-            mapping = {}
-            for pair in args:
-                old, sep, new = pair.partition(">")
-                if not sep or not old or not new:
-                    raise TreeError(f"line {lineno}: bad pair {pair!r} (want old>new)")
-                if old in mapping:
-                    raise TreeError(f"line {lineno}: label {old!r} mapped twice")
-                mapping[old] = new
-            ops.append(Permutation(mapping))
-        else:
-            raise TreeError(f"line {lineno}: unknown operation {kind!r}")
+        kind, *args = line.split()
+        try:
+            if kind == "move":
+                if len(args) != 3:
+                    raise TreeError(f"move needs CHILD FROM TO: {line!r}")
+                ops.append(LinkCutOp(*args))
+            elif kind == "perm":
+                mapping = {}
+                for pair in args:
+                    old, sep, new = pair.partition(">")
+                    if not sep or not old or not new:
+                        raise TreeError(f"bad pair {pair!r} (want old>new)")
+                    if old in mapping:
+                        raise TreeError(f"label {old!r} mapped twice")
+                    mapping[old] = new
+                ops.append(Permutation(mapping))
+            else:
+                raise TreeError(f"unknown operation {kind!r}")
+        except TreeError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     return OperationSequence(tuple(ops))
 
 

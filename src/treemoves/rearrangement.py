@@ -31,7 +31,7 @@ import logging
 import warnings
 from dataclasses import dataclass
 
-from .linkcut import _require_same_labels, linkcut_script
+from .linkcut import _disagreements, _require_same_labels, linkcut_script
 from .ops import (
     LinkCutOp,
     OperationSequence,
@@ -166,13 +166,12 @@ class _PairSearch:
 
     def __init__(self, t1, t2):
         # the trees' own maps, shared and never written to
-        self.p1 = p1 = t1._parent
-        self.p2 = p2 = t2._parent
+        self.p1 = t1._parent
+        self.p2 = t2._parent
         self.c1 = t1._children
         self.r1 = t1.root_child
         self.r2 = t2.root_child
-        # (label, parent in t1, parent in t2) for every disagreeing label
-        self.differ = [(v, p, p2[v]) for v, p in p1.items() if p != p2[v]]
+        self.differ = _disagreements(self.p1, self.p2)
         self.base_active = len(self.differ)
 
     def partition_size(self):

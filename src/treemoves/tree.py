@@ -108,7 +108,6 @@ class LabelledTree:
         "_parent",
         "_children",
         "_top",
-        "_hash",
         "_sorted_labels",
         "_parent_code_array",
     )
@@ -163,11 +162,9 @@ class LabelledTree:
         return tree
 
     def _set(self, parent, children, top):
-        children[None] = (top,)
         self._parent = parent
         self._children = children
         self._top = top
-        self._hash = None
         self._sorted_labels = None
         self._parent_code_array = None
 
@@ -278,9 +275,7 @@ class LabelledTree:
         return self._parent == other._parent
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._parent.items()))
-        return self._hash
+        return hash(frozenset(self._parent.items()))
 
     def __repr__(self):
         text = serialize_tree(self)

@@ -204,6 +204,18 @@ def test_verify_json_failure_fields(example_files, tmp_path, capsys):
         }
 
 
+def test_verify_script_error_names_line(example_files, tmp_path, capsys):
+    script_file = tmp_path / "ops.txt"
+    script_file.write_text("move d b a\nmove e e d\n")
+    code = main(["verify", example_files[0], str(script_file), example_files[1]])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 2: move needs three distinct labels, got ('e', 'e', 'd')\n"
+    )
+
+
 def test_gen_random_deterministic(capsys):
     code = main(["gen", "random", "--seed", "5", "--n", "12", "--ops", "4"])
     assert code == 0

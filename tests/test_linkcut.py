@@ -4,6 +4,7 @@ import pytest
 
 import treemoves as tm
 from treemoves.generate import random_operations, random_recursive_tree
+from treemoves.rearrangement import _PairSearch
 
 from helpers import bfs_linkcut_distance, example_pair
 
@@ -122,3 +123,48 @@ def test_movements_graph_self():
     t1, _ = example_pair()
     graph = tm.movements_graph(t1, t1)
     assert graph.edges == frozenset() and graph.vertices == frozenset()
+
+
+def _reordered(rng, tree):
+    """The same tree, its parent map's keys inserted in a shuffled order."""
+    items = list(tree.parent_map().items())
+    rng.shuffle(items)
+    return tm.LabelledTree(dict(items))
+
+
+def _scan_pairs():
+    rng = random.Random(23)
+    for n in (1, 2, 9, 80, 700, 3000):
+        # shuffled labels, so key order is not sorted order
+        labels = [f"x{i}" for i in range(n)]
+        rng.shuffle(labels)
+        t1 = random_recursive_tree(rng, n, labels)
+        rest = labels[1:]
+        rng.shuffle(rest)
+        yield t1, random_recursive_tree(rng, n, labels[:1] + rest)
+        moved, _ = random_operations(rng, t1, n // 10 + 1, keep_top=True)
+        yield t1, _reordered(rng, moved)
+        yield t1, _reordered(rng, t1)
+        yield t1, t1
+    path = tm.LabelledTree({f"p{i}": f"p{i - 1}" if i else None for i in range(300)})
+    star = tm.LabelledTree({"c": None, **{f"l{i}": "c" for i in range(300)}})
+    for t in (path, star):
+        yield t, random_operations(rng, t, 40, keep_top=True)[0]
+        yield t, t
+
+
+def test_scan_agrees_with_code_arrays():
+    # the distance counts over the cached code arrays, the active set and
+    # the family partition scan the parent maps: both must see one set
+    for a, b in _scan_pairs():
+        t1 = tm.LabelledTree(a.parent_map())
+        t2 = t1 if a is b else tm.LabelledTree(b.parent_map())
+        for _ in ("cold", "warm"):
+            distance = tm.linkcut_distance(t1, t2)
+            active = tm.active_set(t1, t2)
+            partition = tm.family_partition(t1, t2)
+            assert active == {v for v in t1.labels if t1.parent(v) != t2.parent(v)}
+            assert distance == len(active)
+            assert sum(map(len, partition.groups.values())) == distance
+            assert partition.active() == active
+        assert _PairSearch(t1, t2).partition_size() == len(partition)

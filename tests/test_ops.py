@@ -136,6 +136,37 @@ class TestScripts:
         with pytest.raises(tm.TreeError):
             tm.parse_script("jump a b c")
 
+    @pytest.mark.parametrize(
+        "line, error, message",
+        [
+            ("move a b", tm.TreeError, "move needs CHILD FROM TO: 'move a b'"),
+            ("perm a>", tm.TreeError, "bad pair 'a>' (want old>new)"),
+            ("perm a>b a>c", tm.TreeError, "label 'a' mapped twice"),
+            ("jump a b c", tm.TreeError, "unknown operation 'jump'"),
+            (
+                "move a a b",
+                tm.BadLabelError,
+                "move needs three distinct labels, got ('a', 'a', 'b')",
+            ),
+            ("perm a>a", tm.BadLabelError, "permutation stores fixed point 'a'"),
+            (
+                "perm a>b",
+                tm.BadLabelError,
+                "permutation mapping must be a bijection on its own support",
+            ),
+            (
+                "move a( b c",
+                tm.BadLabelError,
+                "label 'a(' contains whitespace or one of '(', ')', ',', ';'",
+            ),
+        ],
+    )
+    def test_errors_name_their_line(self, line, error, message):
+        with pytest.raises(tm.TreeError) as err:
+            tm.parse_script(f"move d b a\n# note\n\n  {line}\nmove e b d\n")
+        assert type(err.value) is error
+        assert str(err.value) == f"line 4: {message}"
+
     def test_replay_ground_truth(self):
         rng = random.Random(33)
         for _ in range(25):

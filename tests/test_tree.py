@@ -210,6 +210,14 @@ class TestInvariants:
             "a": 0, "b": 1, "c": 1, "d": 2, "e": 2, "f": 2, "g": 2, "h": 2,
         }
 
+    def test_none_is_not_a_vertex(self):
+        # the implicit root has no label: it neither has a parent nor children
+        for t in (tm.parse_tree("(b)a;"), tm.LabelledTree({"a": None, "b": "a"})):
+            with pytest.raises(tm.UnknownLabelError):
+                t.parent(None)
+            with pytest.raises(tm.UnknownLabelError):
+                t.children(None)
+
 
 class TestCongruence:
     def test_self(self):

@@ -17,7 +17,6 @@ from .tree import (
     UnknownLabelError,
     parse_tree,
     serialize_tree,
-    are_congruent,
 )
 from .ops import (
     LinkCutOp,
@@ -26,15 +25,12 @@ from .ops import (
     OperationError,
     WrongParentError,
     DescendantTargetError,
-    apply_linkcut,
     apply_permutation,
     replay_sequence,
     parse_script,
     format_script,
 )
 from .linkcut import (
-    FamilyPartition,
-    MovementsGraph,
     LabelSetMismatchError,
     RootMismatchError,
     active_set,
@@ -44,7 +40,6 @@ from .linkcut import (
     movements_graph,
 )
 from .permutation import (
-    IsomorphismTable,
     NotIsomorphicError,
     mismatch_table,
     permutation_distance,
@@ -65,7 +60,6 @@ from .rearrangement import (
 from .reduction3dm import (
     ThreeDMInstance,
     parse_instance,
-    format_instance,
     build_reduction,
     reduction_bound,
     max_matching_bruteforce,

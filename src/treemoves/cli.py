@@ -227,7 +227,8 @@ def _build_parser():
         "(all = exact, x/vg = faster heuristics)",
     )
     dist.add_argument(
-        "--limit", type=int, default=8, help="label cap for the exact oracle"
+        "--limit", type=_non_negative, default=8,
+        help="label cap for the exact oracle",
     )
     dist.add_argument("--json", action="store_true")
     dist.set_defaults(handler=_cmd_dist)

@@ -13,7 +13,6 @@ from .reduction3dm import ThreeDMInstance
 from .tree import LabelledTree, _in_subtree
 
 __all__ = [
-    "default_labels",
     "random_recursive_tree",
     "random_binary_tree",
     "random_permutation",
@@ -24,15 +23,11 @@ __all__ = [
 ]
 
 
-def default_labels(n):
-    return [f"v{i}" for i in range(1, n + 1)]
-
-
 def _tree_labels(n, labels):
-    """The ``n`` labels of a new tree: ``labels``, or ``default_labels(n)``."""
+    """The ``n`` labels of a new tree: ``labels``, or ``v1`` ... ``vn``."""
     if n < 1:
         raise ValueError("a tree needs at least one vertex")
-    labels = list(labels) if labels is not None else default_labels(n)
+    labels = list(labels) if labels is not None else [f"v{i}" for i in range(1, n + 1)]
     if len(labels) != n:
         raise ValueError(f"need exactly {n} labels, got {len(labels)}")
     return labels
@@ -148,18 +143,19 @@ def random_relabelling(rng, tree):
     return apply_permutation(tree, pi), pi
 
 
-def random_3dm_instance(rng, sizes=(3, 3, 3), m=3, prefix=("a", "b", "c"), tries=60):
+def random_3dm_instance(rng, sizes=(3, 3, 3), m=3):
     """Random 3-bounded 1-common instance with at most ``m`` triples.
 
-    Triples are rejection-sampled; fewer than ``m`` may be kept when the
-    constraints run out of room.
+    The elements are ``a1``, ``b1``, ``c1`` and so on.  Triples are
+    rejection-sampled from 60 draws; fewer than ``m`` may be kept when
+    the constraints run out of room.
     """
-    a = [f"{prefix[0]}{i}" for i in range(1, sizes[0] + 1)]
-    b = [f"{prefix[1]}{i}" for i in range(1, sizes[1] + 1)]
-    c = [f"{prefix[2]}{i}" for i in range(1, sizes[2] + 1)]
+    a = [f"a{i}" for i in range(1, sizes[0] + 1)]
+    b = [f"b{i}" for i in range(1, sizes[1] + 1)]
+    c = [f"c{i}" for i in range(1, sizes[2] + 1)]
     triples: list = []
     occurrences: dict = {}
-    for _ in range(tries):
+    for _ in range(60):
         if len(triples) == m:
             break
         t = (rng.choice(a), rng.choice(b), rng.choice(c))

@@ -16,8 +16,6 @@ from .ops import LinkCutOp, OperationSequence
 from .tree import TreeError
 
 __all__ = [
-    "FamilyPartition",
-    "MovementsGraph",
     "LabelSetMismatchError",
     "RootMismatchError",
     "active_set",
@@ -55,10 +53,6 @@ class FamilyPartition:
     """Active labels grouped by their ordered pair of parents."""
 
     groups: dict
-
-    @property
-    def size(self):
-        return len(self.groups)
 
     def active(self):
         out = set()

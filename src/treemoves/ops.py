@@ -26,7 +26,6 @@ __all__ = [
     "OperationError",
     "WrongParentError",
     "DescendantTargetError",
-    "apply_linkcut",
     "apply_permutation",
     "replay_sequence",
     "parse_script",
@@ -200,15 +199,6 @@ def _relabel(parent, pi):
             parent[label] = mapping[par]
     # the support is permuted onto itself, so the key set stays the same
     parent.update({new: parent[old] for old, new in mapping.items()})
-
-
-def apply_linkcut(tree, op):
-    """Apply one link-and-cut move, returning a new tree.
-
-    The move is valid only if ``op.source`` is the current parent of
-    ``op.child`` and ``op.target`` is not a descendant of ``op.child``.
-    """
-    return replay_sequence(tree, (op,))
 
 
 def apply_permutation(tree, pi):

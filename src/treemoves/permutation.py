@@ -25,7 +25,6 @@ from .ops import Permutation
 from .tree import TreeError
 
 __all__ = [
-    "IsomorphismTable",
     "NotIsomorphicError",
     "mismatch_table",
     "permutation_distance",

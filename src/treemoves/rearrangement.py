@@ -9,8 +9,9 @@ its effect or its size.  The distance is therefore
 which drives both the exact oracle (guarded exhaustive search over
 permutations, smallest support first) and the budgeted search
 (``fpt_distance``): the latter prunes immediately when half the family
-partition size already exceeds the budget and then only draws
-permutation supports from a small candidate label set.
+partition size already exceeds the budget and then draws permutation
+supports of at most ``k`` labels from a candidate set, every label
+unless a heuristic narrowing is asked for.
 
 Searches never build intermediate trees: applying a permutation only
 changes parent relations in the neighbourhood of its support (the
@@ -192,9 +193,7 @@ class _PairSearch:
             return sorted(verts)
         if kind == "x":
             return sorted(verts.union(v for v, _, _ in self.differ))
-        if kind == "all":
-            return sorted(self.p1)
-        raise ValueError(f"unknown candidate set {kind!r} (want vg, x or all)")
+        return sorted(self.p1)  # "all"
 
     def masks(self):
         """Bitmask of the active labels among each label and its t1 children.
@@ -409,7 +408,11 @@ def fpt_distance(t1, t2, k, candidates="all"):
     5-cycle through two such labels), so neither narrowing is safe in
     general.  ``"x"`` restricts supports to active labels plus
     movements-graph vertices; ``"vg"`` to movements-graph vertices
-    alone, the only choice whose size the budget bounds.
+    alone, the only choice whose size the budget bounds.  Taking one t1
+    per unlabelled shape against every t2, ``"x"`` overshoots on 0 of
+    256 pairs at n = 4 and 10 of 5,625 at n = 5, ``"vg"`` on 2 of 256
+    and 100 of 5,625; ``"x"`` overshoots even when the top vertices
+    agree, though no such pair exists at n <= 5.
 
     Returns a :class:`RearrangementResult` when a sequence of size at most
     ``k`` exists, else a :class:`BudgetExceeded` report.
@@ -417,6 +420,8 @@ def fpt_distance(t1, t2, k, candidates="all"):
     _require_same_labels(t1, t2)
     if k < 0:
         raise ValueError("budget k must be non-negative")
+    if candidates not in ("vg", "x", "all"):
+        raise ValueError(f"unknown candidate set {candidates!r} (want vg, x or all)")
     ctx = _PairSearch(t1, t2)
     psize = ctx.partition_size()
     lower = (psize + 1) // 2

@@ -23,7 +23,6 @@ from .tree import LabelledTree, TreeError, _check_label
 __all__ = [
     "ThreeDMInstance",
     "parse_instance",
-    "format_instance",
     "build_reduction",
     "reduction_bound",
     "max_matching_bruteforce",
@@ -94,16 +93,6 @@ def parse_instance(text):
     return ThreeDMInstance(*headers, tuple(triples))
 
 
-def format_instance(instance):
-    lines = [
-        " ".join(instance.a_elements),
-        " ".join(instance.b_elements),
-        " ".join(instance.c_elements),
-    ]
-    lines.extend(" ".join(t) for t in instance.triples)
-    return "\n".join(lines) + "\n"
-
-
 def _gadget(index, element, slot):
     return f"{index}_{element}_{slot}"
 
@@ -145,11 +134,14 @@ def reduction_bound(m, n):
     return 3 * n + 6 * (m - n)
 
 
-def max_matching_bruteforce(instance, max_triples=12):
-    """Largest number of pairwise disjoint triples, by exhaustive search."""
+def max_matching_bruteforce(instance):
+    """Largest number of pairwise disjoint triples, by exhaustive search.
+
+    Guarded at 12 triples.
+    """
     m = instance.m
-    if m > max_triples:
-        raise TreeError(f"{m} triples exceed the exhaustive guard of {max_triples}")
+    if m > 12:
+        raise TreeError(f"{m} triples exceed the exhaustive guard of 12")
     for size in range(m, 0, -1):
         for combo in combinations(instance.triples, size):
             flat = [e for t in combo for e in t]

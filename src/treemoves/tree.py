@@ -42,7 +42,6 @@ __all__ = [
     "UnknownLabelError",
     "parse_tree",
     "serialize_tree",
-    "are_congruent",
 ]
 
 # punctuation tokens and maximal label runs; whitespace between them is skipped
@@ -227,14 +226,6 @@ class LabelledTree:
             self._parent_code_array = array("q", (index[parent[v]] for v in labels))
         return self._parent_code_array
 
-    def preorder(self):
-        """Iterative preorder traversal, children in lexicographic order."""
-        stack = [self._top]
-        while stack:
-            v = stack.pop()
-            yield v
-            stack.extend(reversed(self._children[v]))
-
     def postorder(self):
         """Iterative postorder traversal, children in lexicographic order."""
         out = []
@@ -270,6 +261,7 @@ class LabelledTree:
         return all(len(self._children[v]) <= 2 for v in self._parent)
 
     def __eq__(self, other):
+        """Congruence: the same labels with the same parent map."""
         if not isinstance(other, LabelledTree):
             return NotImplemented
         return self._parent == other._parent
@@ -380,12 +372,3 @@ def serialize_tree(tree):
                 stack.append(("text", ","))
     parts.append(";")
     return "".join(parts)
-
-
-def are_congruent(t1, t2):
-    """True iff the trees have the same label set and the same parent map.
-
-    Labels are unique, so an isomorphism preserving every label exists
-    exactly when the parent maps coincide.
-    """
-    return t1 == t2

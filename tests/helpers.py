@@ -39,7 +39,7 @@ def bfs_linkcut_distance(t1, t2):
                 for w in labs:
                     if w == v or w == p or t.is_descendant(w, v):
                         continue
-                    u = tm.apply_linkcut(t, tm.LinkCutOp(v, p, w))
+                    u = tm.replay_sequence(t, (tm.LinkCutOp(v, p, w),))
                     if u == t2:
                         return dist
                     if u not in seen:

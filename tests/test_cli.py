@@ -145,6 +145,16 @@ def test_dist_fpt_negative_budget_is_usage_error(example_files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_dist_exact_negative_limit_is_usage_error(example_files, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["dist", "exact", *example_files, "--limit", "-1"])
+    assert err.value.code == 2
+    assert "must be non-negative, got -1" in capsys.readouterr().err
+    # a zero cap is a legal option that the guard then rejects
+    assert main(["dist", "exact", *example_files, "--limit", "0"]) == 1
+    assert "guard of 0" in capsys.readouterr().err
+
+
 def test_dist_perm_not_isomorphic_is_error(tmp_path, capsys):
     f1 = tmp_path / "a.nwk"
     f2 = tmp_path / "b.nwk"

@@ -17,32 +17,32 @@ from helpers import count_tree_builds, example_pair, rebuild_replay
 class TestLinkCut:
     def test_example_caption_first_move(self):
         t1, _ = example_pair()
-        moved = tm.apply_linkcut(t1, tm.LinkCutOp("d", "b", "a"))
+        moved = tm.replay_sequence(t1, (tm.LinkCutOp("d", "b", "a"),))
         assert moved == tm.parse_tree("((e,f)b,d,(g,h)c)a;")
 
     def test_descendant_target_rejected(self):
         t1, _ = example_pair()
         with pytest.raises(tm.DescendantTargetError):
-            tm.apply_linkcut(t1, tm.LinkCutOp("b", "a", "d"))
+            tm.replay_sequence(t1, (tm.LinkCutOp("b", "a", "d"),))
 
     def test_becomes_valid_after_clearing_subtree(self):
         # the move rejected above is fine once d has left b's subtree
         t1, _ = example_pair()
-        t = tm.apply_linkcut(t1, tm.LinkCutOp("d", "b", "a"))
-        t = tm.apply_linkcut(t, tm.LinkCutOp("e", "b", "d"))
-        t = tm.apply_linkcut(t, tm.LinkCutOp("f", "b", "c"))
-        t = tm.apply_linkcut(t, tm.LinkCutOp("b", "a", "d"))
+        t = tm.replay_sequence(t1, (tm.LinkCutOp("d", "b", "a"),))
+        t = tm.replay_sequence(t, (tm.LinkCutOp("e", "b", "d"),))
+        t = tm.replay_sequence(t, (tm.LinkCutOp("f", "b", "c"),))
+        t = tm.replay_sequence(t, (tm.LinkCutOp("b", "a", "d"),))
         assert t == tm.parse_tree("((b,e)d,(f,g,h)c)a;")
 
     def test_wrong_parent(self):
         t1, _ = example_pair()
         with pytest.raises(tm.WrongParentError):
-            tm.apply_linkcut(t1, tm.LinkCutOp("d", "c", "a"))
+            tm.replay_sequence(t1, (tm.LinkCutOp("d", "c", "a"),))
 
     def test_unknown_label(self):
         t1, _ = example_pair()
         with pytest.raises(tm.UnknownLabelError):
-            tm.apply_linkcut(t1, tm.LinkCutOp("z", "b", "a"))
+            tm.replay_sequence(t1, (tm.LinkCutOp("z", "b", "a"),))
 
     def test_source_equal_target_rejected_at_construction(self):
         with pytest.raises(tm.BadLabelError):
@@ -108,8 +108,8 @@ class TestInvertibility:
                 op = random_move(rng, t)
                 if op is None:
                     continue
-                there = tm.apply_linkcut(t, op)
-                back = tm.apply_linkcut(there, op.inverse())
+                there = tm.replay_sequence(t, (op,))
+                back = tm.replay_sequence(there, (op.inverse(),))
             else:
                 op = random_permutation(rng, t.labels, rng.randint(2, min(4, len(t))))
                 there = tm.apply_permutation(t, op)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -270,6 +271,39 @@ class TestFpt:
             assert isinstance(narrow, tm.BudgetExceeded)
             assert narrow.best_found == 6
 
+    @pytest.mark.parametrize(
+        "text1, text2, exact",
+        [
+            ("((v00,v01,(v02,(v08)v04,v10)v05,v06,v07)v09)v03;",
+             "((v01,v05,v06,v07,(v00,(v08)v04,v10)v09)v02)v03;", 4),
+            ("((((v00,v07)v06)v02,(v04,v08)v05)v01)v03;",
+             "((((v00,v04)v05)v02,(v01,v08)v07)v06)v03;", 5),
+        ],
+        ids=["d4", "d5"],
+    )
+    def test_narrow_candidates_overshoot_with_same_top(self, text1, text2, exact):
+        # the tops agree, yet both narrowed sets end one above the distance
+        t1, t2 = tm.parse_tree(text1), tm.parse_tree(text2)
+        assert t1.root_child == t2.root_child
+        assert tm.brute_force_distance(t1, t2, max_labels=None).distance == exact
+        best = tm.fpt_distance(t1, t2, exact)
+        assert isinstance(best, tm.RearrangementResult) and best.distance == exact
+        assert tm.verify_sequence(t1, best.witness, t2)
+        for cand in ("x", "vg"):
+            narrow = tm.fpt_distance(t1, t2, exact, candidates=cand)
+            assert isinstance(narrow, tm.BudgetExceeded)
+            assert narrow.best_found == exact + 1
+            found = tm.fpt_distance(t1, t2, exact + 1, candidates=cand)
+            assert found.distance == exact + 1
+            assert tm.verify_sequence(t1, found.witness, t2)
+
+    def test_unknown_candidates_raise_before_guard(self):
+        t1, t2 = example_pair()
+        # k = 0 is a guard reject on this pair and k = 3 is answered
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="unknown candidate set 'bogus'"):
+                tm.fpt_distance(t1, t2, k, candidates="bogus")
+
 
 def _path(labels):
     return tm.LabelledTree(dict(zip(labels, [None, *labels[:-1]])))
@@ -313,7 +347,7 @@ def _planted_pair(rng, n, size):
         mid = tm.apply_permutation(t1, random_permutation(rng, movable, size))
         if len(tm.family_partition(t1, mid)) != 2 * size:
             continue
-        t2 = tm.apply_linkcut(mid, random_move(rng, mid))
+        t2 = tm.replay_sequence(mid, (random_move(rng, mid),))
         if len(tm.family_partition(t1, t2)) == 2 * size + 1:
             return t1, t2
 
@@ -435,3 +469,47 @@ def test_lower_bound_half_partition():
         t2, _ = random_operations(rng, t1, rng.randint(0, 5), keep_top=True)
         d = tm.brute_force_distance(t1, t2).distance
         assert d >= math.ceil(len(tm.family_partition(t1, t2)) / 2)
+
+
+def _every_tree(n):
+    """Every rooted tree on the labels v1 ... vn: n ** (n - 1) of them."""
+    labels = [f"v{i}" for i in range(1, n + 1)]
+    for top in labels:
+        rest = [v for v in labels if v != top]
+        choices = [[p for p in labels if p != v] for v in rest]
+        for parents in itertools.product(*choices):
+            try:
+                yield tm.LabelledTree({top: None, **dict(zip(rest, parents))})
+            except tm.StructureError:
+                pass  # the parents hold a cycle
+
+
+def _shape(t):
+    """The unlabelled shape of a tree, as nested sorted tuples."""
+    shape = {}
+    for v in t.postorder():
+        shape[v] = tuple(sorted(shape[c] for c in t.children(v)))
+    return shape[t.root_child]
+
+
+@pytest.mark.parametrize("n, pairs", [(1, 1), (2, 2), (3, 18), (4, 256), (5, 5625)])
+def test_census_every_small_pair(n, pairs):
+    # one t1 per unlabelled shape against every t2: the exact methods agree
+    # with the naive oracle, and the budgeted search is tight at the distance
+    trees = list(_every_tree(n))
+    assert len(trees) == n ** (n - 1)
+    firsts = {}
+    for t in trees:
+        firsts.setdefault(_shape(t), t)
+    assert len(firsts) * len(trees) == pairs
+    for t1 in firsts.values():
+        for t2 in trees:
+            exact = tm.brute_force_distance(t1, t2)
+            d = exact.distance
+            assert d == naive_rearrangement_distance(t1, t2)
+            assert tm.verify_sequence(t1, exact.witness, t2)
+            hit = tm.fpt_distance(t1, t2, d)
+            assert isinstance(hit, tm.RearrangementResult) and hit.distance == d
+            assert tm.verify_sequence(t1, hit.witness, t2)
+            if d:
+                assert isinstance(tm.fpt_distance(t1, t2, d - 1), tm.BudgetExceeded)

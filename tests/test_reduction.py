@@ -30,7 +30,7 @@ def test_instance_validation():
 
 
 def test_text_round_trip():
-    text = tm.format_instance(SHARED_B)
+    text = "a a'\nb\nc c'\na b c\na' b c'\n"
     assert tm.parse_instance(text) == SHARED_B
 
 

@@ -149,25 +149,22 @@ def _cmd_verify(args):
 
 
 def _cmd_gen_random(args):
-    if args.n < 1:
-        raise TreeError("--n must be at least 1")
-    if args.ops < 0:
-        raise TreeError("--ops must be non-negative")
     rng = random.Random(args.seed)
     t1 = random_recursive_tree(rng, args.n)
     t2, seq = random_operations(rng, t1, args.ops)
     script = format_script(seq)
+    text1, text2 = serialize_tree(t1), serialize_tree(t2)
     record = {
         "command": "gen",
         "generator": "random",
         "seed": args.seed,
         "n": args.n,
         "ops": args.ops,
-        "t1": serialize_tree(t1),
-        "t2": serialize_tree(t2),
+        "t1": text1,
+        "t2": text2,
         "script": script,
     }
-    lines = [f"tree1: {serialize_tree(t1)}", f"tree2: {serialize_tree(t2)}", "script:"]
+    lines = [f"tree1: {text1}", f"tree2: {text2}", "script:"]
     lines.extend(script.splitlines())
     _emit(args, record, lines)
     return 0
@@ -176,17 +173,18 @@ def _cmd_gen_random(args):
 def _cmd_gen_reduction(args):
     instance = parse_instance(_read(args.instance))
     t1, t2 = build_reduction(instance)
+    text1, text2 = serialize_tree(t1), serialize_tree(t2)
     record = {
         "command": "gen",
         "generator": "reduction3dm",
         "triples": instance.m,
         "labels": len(t1),
-        "t1": serialize_tree(t1),
-        "t2": serialize_tree(t2),
+        "t1": text1,
+        "t2": text2,
     }
     lines = [
-        f"tree1: {serialize_tree(t1)}",
-        f"tree2: {serialize_tree(t2)}",
+        f"tree1: {text1}",
+        f"tree2: {text2}",
         f"triples: {instance.m}, labels per tree: {len(t1)}",
     ]
     _emit(args, record, lines)
@@ -197,6 +195,13 @@ def _non_negative(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _positive(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -251,8 +256,8 @@ def _build_parser():
 
     gen_random = gen_sub.add_parser("random", help="random tree pair with ground truth")
     gen_random.add_argument("--seed", type=int, required=True)
-    gen_random.add_argument("--n", type=int, required=True)
-    gen_random.add_argument("--ops", type=int, required=True)
+    gen_random.add_argument("--n", type=_positive, required=True)
+    gen_random.add_argument("--ops", type=_non_negative, required=True)
     gen_random.add_argument("--json", action="store_true")
     gen_random.set_defaults(handler=_cmd_gen_random)
 

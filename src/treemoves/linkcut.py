@@ -54,12 +54,6 @@ class FamilyPartition:
 
     groups: dict
 
-    def active(self):
-        out = set()
-        for members in self.groups.values():
-            out |= members
-        return out
-
     def __len__(self):
         return len(self.groups)
 

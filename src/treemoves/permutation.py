@@ -114,8 +114,6 @@ class IsomorphismTable:
         stack = [(u, v, None)]
         while stack:
             x, y, blocks = stack.pop()
-            if (x, y) in cost:
-                continue
             if blocks is None:
                 by_code = {}
                 for a in children1(x):

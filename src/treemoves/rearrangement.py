@@ -15,13 +15,15 @@ unless a heuristic narrowing is asked for.
 
 Searches never build intermediate trees: applying a permutation only
 changes parent relations in the neighbourhood of its support (the
-support and its children in the first tree).  Supports are walked
-depth-first in lexicographic order with a bitmask of the active labels
-their prefix touches, so a support's floor (its size plus the activity
-it cannot touch) is a popcount, and a prefix is dropped as soon as its
-best completion cannot beat the best value found (branch and bound).
-Only the supports that survive have their neighbourhood built and each
-derangement of them scored.
+support and its children in the first tree).  When the trees disagree
+on the top label, both top labels are forced into every support.  The
+other labels of a support are walked depth-first in lexicographic order
+with a bitmask of the active labels the support touches, so a support's
+floor (its size plus the activity it cannot touch) is a popcount, and a
+prefix is dropped as soon as its best completion cannot beat the best
+value found (branch and bound).  Only the supports that survive have
+their neighbourhood built and each derangement of them scored; a size's
+derangements are listed when its first support survives.
 """
 
 from __future__ import annotations
@@ -249,110 +251,98 @@ def _derangement_patterns(size):
     ]
 
 
-def _suffix_sums(masks, most_r):
-    """``most[i][r]``: the largest popcount sum of ``r`` of ``masks[i:]``.
+def _suffix_sums(masks, r):
+    """``row[i]``: the largest popcount sum of ``r`` of ``masks[i:]``.
 
-    Defined for ``r <= min(most_r, len(masks) - i)``.
+    When fewer than ``r`` masks are left, the sum of all of them.
     """
-    most = [(0,)] * (len(masks) + 1)
+    row = [0] * (len(masks) + 1)
     top = []  # negated weights, so ascending order is descending weight
+    total = 0
     for i in range(len(masks) - 1, -1, -1):
-        bisect.insort(top, -masks[i].bit_count())
-        del top[most_r:]
-        sums = [0]
-        for w in top:
-            sums.append(sums[-1] - w)
-        most[i] = sums
-    return most
-
-
-def _scan_layer(ctx, cands, masks, size, bound, stop, last):
-    """First best permutation below ``bound`` with a support of ``size`` labels.
-
-    Walks the supports depth-first in the order of
-    ``itertools.combinations(cands, size)``, carrying the mask of the
-    active labels that the chosen prefix touches.  A support's floor,
-    |support| plus the activity it cannot touch, is ``size + base_active``
-    minus the popcount of its mask.  A prefix is abandoned once even the
-    remaining candidates with the largest mask weights cannot bring that
-    floor under the bound; only supports whose floor is under it are
-    scored.  The bound falls as better values are found, so exactly the
-    supports that a plain scan would score get scored, in the same order.
-
-    A support must not run past ``stop[i]``, the next label every support
-    needs, and its last label must come at or after ``last``.  Returns
-    ``(value, mapping)``, or ``(bound, None)`` when nothing beats it.
-    """
-    patterns = _derangement_patterns(size)
-    most = _suffix_sums(masks, size)
-    base = size + ctx.base_active
-    n = len(cands)
-    neighbourhood, score = ctx.neighbourhood, ctx.score
-    chosen = []
-    best_sigma = None
-
-    def extend(start, mask, left):
-        nonlocal bound, best_sigma
-        reach = base - mask.bit_count()
-        first = start if left > 1 else max(start, last)
-        for i in range(first, min(n - left, stop[start]) + 1):
-            if reach - most[i][left] >= bound:
-                break  # the weights only shrink further on
-            grown = mask | masks[i]
-            floor = base - grown.bit_count()
-            if floor - most[i + 1][left - 1] >= bound:
-                continue
-            chosen.append(cands[i])
-            if left > 1:
-                extend(i + 1, grown, left - 1)
-            else:
-                support = tuple(chosen)
-                aff = neighbourhood(support)
-                for pattern in patterns:
-                    images = tuple(support[j] for j in pattern)
-                    value = score(support, images, aff, floor)
-                    if value is not None and value < bound:
-                        bound, best_sigma = value, dict(zip(support, images))
-            chosen.pop()
-
-    extend(0, 0, size)
-    return bound, best_sigma
+        w = masks[i].bit_count()
+        bisect.insort(top, -w)
+        total += w
+        if len(top) > r:
+            total += top.pop()  # the smallest weight drops out
+        row[i] = total
+    return row
 
 
 def _search_best(ctx, candidates, max_support):
     """Minimum score over permutations with support inside ``candidates``.
 
-    Supports are enumerated by increasing size, then lexicographically;
-    first-found wins among ties.  A size layer is skipped entirely once
-    the support size alone cannot beat the best value, which keeps the
-    oracle fast on easy instances.  The activity masks are built only
-    here, after the partition guard has passed.
+    Supports are enumerated by increasing size, then in the order of
+    ``itertools.combinations(sorted(candidates), size)``; first-found wins
+    among ties.  A size layer is skipped entirely once the support size
+    alone cannot beat the best value, which keeps the oracle fast on easy
+    instances.
+
+    Within a layer the supports are walked depth-first, carrying the mask
+    of the active labels that the forced labels and the chosen prefix
+    touch.  A support's floor, |support| plus the activity it cannot
+    touch, is ``size + base_active`` minus the popcount of its mask.  A
+    prefix is abandoned once even the remaining candidates with the
+    largest mask weights cannot bring that floor under the best value;
+    only supports whose floor is under it are scored, against every
+    derangement.  The bound falls as better values are found, so exactly
+    the supports that a plain scan would score get scored, in the same
+    order.  The activity masks are built only here, after the partition
+    guard has passed; each suffix-sum row is built once, for the first
+    layer that needs it, and a layer's derangements are listed only when
+    it scores its first support.
     """
     r1, r2 = ctx.r1, ctx.r2
-    if r1 == r2:
-        best_value, best_sigma = ctx.base_active, {}
-        # a derangement of the top label always breaks the root match
-        cands = sorted(c for c in candidates if c != r1)
-        required = []
-    else:
-        # only supports holding both top labels can repair the root;
-        # candidate sets always contain them
-        best_value, best_sigma = _INF, None
-        cands = sorted(candidates)
-        required = sorted((cands.index(r1), cands.index(r2)))
-    n = len(cands)
-    stop = [n - 1] * (n + 1)
-    for pos in reversed(required):
-        stop[: pos + 1] = [pos] * (pos + 1)
-    last = required[-1] if required else 0
     by_label = ctx.masks()
+    if r1 == r2:
+        # a derangement of the top label always breaks the root match
+        best_value, best_sigma, forced, seed = ctx.base_active, {}, [], 0
+    else:
+        # only supports holding both top labels can repair the root
+        best_value, best_sigma, forced = _INF, None, [r1, r2]
+        seed = by_label.get(r1, 0) | by_label.get(r2, 0)
+    cands = sorted(c for c in candidates if c not in (r1, r2))
     masks = [by_label.get(c, 0) for c in cands]
-    for size in range(2, min(max_support, n) + 1):
+    n = len(cands)
+    neighbourhood, score = ctx.neighbourhood, ctx.score
+    most = []  # most[r][i]: the largest weight that r of masks[i:] add
+    chosen = list(forced)
+
+    def extend(start, mask, left):
+        nonlocal best_value, best_sigma, patterns
+        if not left:
+            support = tuple(sorted(chosen))
+            if patterns is None:
+                patterns = _derangement_patterns(size)
+            aff = neighbourhood(support)
+            floor = base - mask.bit_count()
+            for pattern in patterns:
+                images = tuple(support[j] for j in pattern)
+                value = score(support, images, aff, floor)
+                if value is not None and value < best_value:
+                    best_value, best_sigma = value, dict(zip(support, images))
+            return
+        reach = base - mask.bit_count()
+        here, after = most[left], most[left - 1]
+        for i in range(start, n - left + 1):
+            if reach - here[i] >= best_value:
+                break  # the weights only shrink further on
+            grown = mask | masks[i]
+            if base - grown.bit_count() - after[i + 1] >= best_value:
+                continue
+            chosen.append(cands[i])
+            extend(i + 1, grown, left - 1)
+            chosen.pop()
+
+    for size in range(2, min(max_support, n + len(forced)) + 1):
         if size >= best_value:
             break
-        value, sigma = _scan_layer(ctx, cands, masks, size, best_value, stop, last)
-        if sigma is not None:
-            best_value, best_sigma = value, sigma
+        left = size - len(forced)
+        while len(most) <= left:
+            most.append(_suffix_sums(masks, len(most)))
+        base = size + ctx.base_active
+        patterns = None
+        extend(0, seed, left)
     return best_value, best_sigma
 
 

@@ -155,6 +155,20 @@ def test_dist_exact_negative_limit_is_usage_error(example_files, capsys):
     assert "guard of 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--n", "0", "must be at least 1, got 0"), ("--ops", "-1", "must be non-negative, got -1")],
+    ids=["n-zero", "ops-negative"],
+)
+def test_gen_random_bad_count_is_usage_error(option, value, message, capsys):
+    args = ["gen", "random", "--seed", "1", "--n", "5", "--ops", "2"]
+    args[args.index(option) + 1] = value
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert f"argument {option}: {message}" in capsys.readouterr().err
+
+
 def test_dist_perm_not_isomorphic_is_error(tmp_path, capsys):
     f1 = tmp_path / "a.nwk"
     f2 = tmp_path / "b.nwk"

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import treemoves as tm
 from treemoves.generate import (
     random_3dm_instance,
@@ -23,6 +25,24 @@ def test_binary_tree_is_binary():
     for _ in range(20):
         t = random_binary_tree(rng, rng.randint(1, 30))
         assert t.is_binary()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda rng: random_recursive_tree(rng, 0), "a tree needs at least one vertex"),
+        (lambda rng: random_recursive_tree(rng, 3, ["a", "b"]), "need exactly 3 labels, got 2"),
+        (
+            lambda rng: random_permutation(rng, ["a", "b", "c"], 1),
+            "support size must be in [2, 3], got 1",
+        ),
+    ],
+    ids=["no-vertex", "label-count", "one-label-support"],
+)
+def test_argument_errors(make, message):
+    with pytest.raises(ValueError) as err:
+        make(random.Random(0))
+    assert str(err.value) == message
 
 
 def test_random_permutation_support():

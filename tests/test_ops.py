@@ -128,6 +128,10 @@ class TestScripts:
         seq = tm.parse_script("# witness\n\nmove d b a\n")
         assert len(seq) == 1
 
+    def test_sequence_rejects_non_operations(self):
+        with pytest.raises(TypeError, match="not an operation: 1"):
+            tm.OperationSequence((1,))
+
     def test_bad_lines(self):
         with pytest.raises(tm.TreeError):
             tm.parse_script("move a b")

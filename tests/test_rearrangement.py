@@ -402,6 +402,32 @@ class TestSupportScan:
         assert tm.verify_sequence(t1, result.witness, t2)
         assert len(builds) <= 469
 
+    def test_no_derangements_before_a_support_scores(self, monkeypatch):
+        # 12 classes (p_i, q_i), one per leaf x_i that moves from p_i to
+        # q_i: a support covers at most one activity bit per label, so no
+        # floor drops below 12 and no support is ever scored.  Listing the
+        # derangements of a layer up front would build 14,684,570 tuples
+        # for the 11-label layer.
+        ps = [f"p{i:02d}" for i in range(12)]
+        qs = [f"q{i:02d}" for i in range(12)]
+        t1 = tm.parse_tree(
+            "(" + ",".join([f"(x{i:02d}){p}" for i, p in enumerate(ps)] + qs) + ")r;"
+        )
+        t2 = tm.parse_tree(
+            "(" + ",".join(ps + [f"(x{i:02d}){q}" for i, q in enumerate(qs)]) + ")r;"
+        )
+        assert len(t1) == 37 and len(tm.family_partition(t1, t2)) == 12
+
+        def refuse(size):
+            raise AssertionError(f"derangements of {size} labels listed")
+
+        monkeypatch.setattr(rearrangement, "_derangement_patterns", refuse)
+        result = tm.fpt_distance(t1, t2, 12)
+        assert isinstance(result, tm.RearrangementResult) and result.distance == 12
+        assert result.witness.ops[0].size == 0
+        assert tm.verify_sequence(t1, result.witness, t2)
+        assert tm.fpt_distance(t1, t2, 11) == tm.BudgetExceeded(11, 6, 12)
+
 
 class TestApproxBinary:
     def test_self(self):

@@ -27,6 +27,39 @@ def test_instance_validation():
             ("a", "x", "y", "z"), ("b",), ("c", "d", "e", "f"),
             (("a", "b", "c"), ("x", "b", "d"), ("y", "b", "e"), ("z", "b", "f")),
         )
+    with pytest.raises(tm.TreeError, match="set A lists an element twice"):
+        tm.ThreeDMInstance(("a", "a"), ("b",), ("c",), ())
+    with pytest.raises(tm.TreeError, match="does not have three elements"):
+        tm.ThreeDMInstance(("a",), ("b",), ("c",), (("a", "b"),))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a\nb\n", "instance needs three header lines listing A, B and C"),
+        ("a\nb\nc\na b c\n\na b\n", "line 6: a triple needs exactly 3 elements"),
+    ],
+    ids=["two-headers", "two-field-triple"],
+)
+def test_parse_instance_errors(text, message):
+    with pytest.raises(tm.TreeError) as err:
+        tm.parse_instance(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "c_elements, message",
+    [
+        (("c", "r"), "element name 'r' collides with the generated top vertex"),
+        (("c", "0_a_1"), "gadget label '0_a_1' collides with an element"),
+    ],
+    ids=["top-name", "gadget-name"],
+)
+def test_build_reduction_label_collisions(c_elements, message):
+    h = tm.ThreeDMInstance(("a",), ("b",), c_elements, (("a", "b", "c"),))
+    with pytest.raises(tm.TreeError) as err:
+        tm.build_reduction(h)
+    assert str(err.value) == message
 
 
 def test_text_round_trip():
@@ -83,6 +116,10 @@ def test_max_matching():
     assert tm.max_matching_bruteforce(disjoint) == 2
     empty = tm.ThreeDMInstance(("a",), ("b",), ("c",), ())
     assert tm.max_matching_bruteforce(empty) == 0
+    sets = [tuple(f"{x}{i}" for i in range(13)) for x in "abc"]
+    thirteen = tm.ThreeDMInstance(*sets, tuple(zip(*sets)))
+    with pytest.raises(tm.TreeError, match="13 triples exceed the exhaustive guard of 12"):
+        tm.max_matching_bruteforce(thirteen)
 
 
 def cycle_solving_witness(instance, t1, t2, matched):

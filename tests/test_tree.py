@@ -171,6 +171,10 @@ class TestSerialize:
 
 
 class TestInvariants:
+    def test_empty_map_rejected(self):
+        with pytest.raises(tm.StructureError, match="at least one vertex"):
+            tm.LabelledTree({})
+
     def test_two_tops_rejected(self):
         with pytest.raises(tm.StructureError):
             tm.LabelledTree({"a": None, "b": None})
@@ -204,6 +208,9 @@ class TestInvariants:
         assert t.is_descendant("d", "b")
         assert not t.is_descendant("d", "c")
         assert not t.is_descendant("a", "d")
+        for label, ancestor in (("z", "a"), ("d", "z")):
+            with pytest.raises(tm.UnknownLabelError, match="no vertex labelled 'z'"):
+                t.is_descendant(label, ancestor)
         assert list(t.postorder()) == ["d", "e", "f", "b", "g", "h", "c", "a"]
         assert t.depths() == {
             "a": 0, "b": 1, "c": 1, "d": 2, "e": 2, "f": 2, "g": 2, "h": 2,

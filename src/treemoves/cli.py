@@ -46,10 +46,12 @@ __all__ = ["main"]
 
 def _read(path):
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise TreeError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise TreeError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _load_tree(path):

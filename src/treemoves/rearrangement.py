@@ -6,12 +6,15 @@ its effect or its size.  The distance is therefore
 
     min over permutations pi of  |pi| + linkcut_distance(pi(t1), t2)
 
-which drives both the exact oracle (guarded exhaustive search over
-permutations, smallest support first) and the budgeted search
-(``fpt_distance``): the latter prunes immediately when half the family
-partition size already exceeds the budget and then draws permutation
-supports of at most ``k`` labels from a candidate set, every label
-unless a heuristic narrowing is asked for.
+The exact oracle (``brute_force_distance``) and the budgeted search
+(``fpt_distance``) share one body that computes this minimum, smallest
+support first.  The oracle draws supports from every label, of any
+size; the budgeted search rejects immediately when half the family
+partition size already exceeds the budget and then draws supports of at
+most ``k`` labels from a candidate set, every label unless a heuristic
+narrowing is asked for.  Either way the witness is the best permutation
+followed by a link-and-cut script, and its size is checked against the
+value the search found.
 
 Searches never build intermediate trees: applying a permutation only
 changes parent relations in the neighbourhood of its support (the
@@ -158,88 +161,58 @@ def verify_sequence(t1, seq, t2):
     return failure is None
 
 
-class _PairSearch:
-    """Scores candidate permutations against a fixed tree pair.
+def _partition_size(differ):
+    """Number of distinct (parent-in-t1, parent-in-t2) disagreement pairs.
 
-    Activity (parent disagreement) is counted once for the unpermuted
-    pair; a candidate permutation only perturbs the activity of its
-    support and of the support's children in the first tree, so scoring
-    is linear in that neighbourhood instead of the whole tree.
+    The implicit root counts as a parent here, so the size is defined
+    even when the two trees disagree on the top vertex.
     """
+    return len({(p, q) for _, p, q in differ})
 
-    def __init__(self, t1, t2):
-        # the trees' own maps, shared and never written to
-        self.p1 = t1._parent
-        self.p2 = t2._parent
-        self.c1 = t1._children
-        self.r1 = t1.root_child
-        self.r2 = t2.root_child
-        self.differ = _disagreements(self.p1, self.p2)
-        self.base_active = len(self.differ)
 
-    def partition_size(self):
-        """Number of distinct (parent-in-t1, parent-in-t2) disagreement pairs.
+def _candidates(t1, t2, differ, kind):
+    """The labels a support may draw from, in no particular order."""
+    if kind == "all":
+        return t1.labels
+    verts = {u for _, p, q in differ for u in (p, q) if u is not None}
+    if t1.root_child != t2.root_child:
+        # only a permutation can rename the top vertex
+        verts.update((t1.root_child, t2.root_child))
+    if kind == "x":
+        verts.update(v for v, _, _ in differ)
+    return verts
 
-        The implicit root counts as a parent here, so the size is defined
-        even when the two trees disagree on the top vertex.
-        """
-        return len({(p, q) for _, p, q in self.differ})
 
-    def candidate_labels(self, kind):
-        verts = {u for _, p, q in self.differ for u in (p, q) if u is not None}
-        if self.r1 != self.r2:
-            # only a permutation can rename the top vertex
-            verts.add(self.r1)
-            verts.add(self.r2)
-        if kind == "vg":
-            return sorted(verts)
-        if kind == "x":
-            return sorted(verts.union(v for v, _, _ in self.differ))
-        return sorted(self.p1)  # "all"
+def _neighbourhood(support, children):
+    """The support and its children in t1: all labels it can perturb."""
+    affected = set(support)
+    for s in support:
+        affected.update(children[s])
+    return tuple(affected)
 
-    def masks(self):
-        """Bitmask of the active labels among each label and its t1 children.
 
-        Bit i stands for the i-th disagreeing label; a label whose
-        neighbourhood holds no active label has no entry.
-        """
-        masks = {}
-        for bit, (v, p, _) in enumerate(self.differ):
-            b = 1 << bit
-            masks[v] = masks.get(v, 0) | b
-            if p is not None:
-                masks[p] = masks.get(p, 0) | b
-        return masks
+def _score(support, images, aff, floor, p1, p2, r1, r2):
+    """|support| + moves needed after applying the permutation.
 
-    def neighbourhood(self, support):
-        """The support and its children in t1: all labels it can perturb."""
-        affected = set(support)
-        c1 = self.c1
-        for s in support:
-            affected.update(c1[s])
-        return tuple(affected)
-
-    def score(self, support, images, aff, floor):
-        """|support| + moves needed after applying the permutation.
-
-        ``aff`` is the support's neighbourhood and ``floor`` is |support|
-        plus the activity outside it.  Returns None when the permutation
-        leaves the top vertices disagreeing (no move sequence can repair
-        that).
-        """
-        sigma = dict(zip(support, images))
-        get = sigma.get
-        if get(self.r1, self.r1) != self.r2:
-            return None
-        p1, p2 = self.p1, self.p2
-        bad = 0
-        for x in aff:
-            p = p1[x]
-            if p is not None:
-                p = get(p, p)
-            if p != p2[get(x, x)]:
-                bad += 1
-        return floor + bad
+    ``aff`` is the support's neighbourhood and ``floor`` is |support|
+    plus the activity outside it; ``p1``/``p2`` are the trees' parent
+    maps and ``r1``/``r2`` their top labels.  A permutation only perturbs
+    the activity of its neighbourhood, so scoring is linear in it instead
+    of the whole tree.  Returns None when the permutation leaves the top
+    vertices disagreeing (no move sequence can repair that).
+    """
+    sigma = dict(zip(support, images))
+    get = sigma.get
+    if get(r1, r1) != r2:
+        return None
+    bad = 0
+    for x in aff:
+        p = p1[x]
+        if p is not None:
+            p = get(p, p)
+        if p != p2[get(x, x)]:
+            bad += 1
+    return floor + bad
 
 
 def _derangement_patterns(size):
@@ -269,14 +242,16 @@ def _suffix_sums(masks, r):
     return row
 
 
-def _search_best(ctx, candidates, max_support):
+def _search_best(t1, t2, differ, candidates, max_support):
     """Minimum score over permutations with support inside ``candidates``.
 
-    Supports are enumerated by increasing size, then in the order of
-    ``itertools.combinations(sorted(candidates), size)``; first-found wins
-    among ties.  A size layer is skipped entirely once the support size
-    alone cannot beat the best value, which keeps the oracle fast on easy
-    instances.
+    ``differ`` is the pair's disagreement list.  The exact oracle and
+    ``fpt_distance`` share this search and differ only in ``candidates``
+    and ``max_support``.  Supports are enumerated by increasing size,
+    then in the order of ``itertools.combinations(sorted(candidates),
+    size)``; first-found wins among ties.  A size layer is skipped
+    entirely once the support size alone cannot beat the best value,
+    which keeps the oracle fast on easy instances.
 
     Within a layer the supports are walked depth-first, carrying the mask
     of the active labels that the forced labels and the chosen prefix
@@ -292,11 +267,20 @@ def _search_best(ctx, candidates, max_support):
     layer that needs it, and a layer's derangements are listed only when
     it scores its first support.
     """
-    r1, r2 = ctx.r1, ctx.r2
-    by_label = ctx.masks()
+    p1, p2, children = t1._parent, t2._parent, t1._children
+    r1, r2 = t1.root_child, t2.root_child
+    base_active = len(differ)
+    # bit i stands for the i-th disagreeing label; by_label[v] holds the
+    # bits of the active labels among v and its t1 children
+    by_label = {}
+    for bit, (v, p, _) in enumerate(differ):
+        b = 1 << bit
+        by_label[v] = by_label.get(v, 0) | b
+        if p is not None:
+            by_label[p] = by_label.get(p, 0) | b
     if r1 == r2:
         # a derangement of the top label always breaks the root match
-        best_value, best_sigma, forced, seed = ctx.base_active, {}, [], 0
+        best_value, best_sigma, forced, seed = base_active, {}, [], 0
     else:
         # only supports holding both top labels can repair the root
         best_value, best_sigma, forced = _INF, None, [r1, r2]
@@ -304,7 +288,7 @@ def _search_best(ctx, candidates, max_support):
     cands = sorted(c for c in candidates if c not in (r1, r2))
     masks = [by_label.get(c, 0) for c in cands]
     n = len(cands)
-    neighbourhood, score = ctx.neighbourhood, ctx.score
+    neighbourhood, score = _neighbourhood, _score
     most = []  # most[r][i]: the largest weight that r of masks[i:] add
     chosen = list(forced)
 
@@ -314,11 +298,11 @@ def _search_best(ctx, candidates, max_support):
             support = tuple(sorted(chosen))
             if patterns is None:
                 patterns = _derangement_patterns(size)
-            aff = neighbourhood(support)
+            aff = neighbourhood(support, children)
             floor = base - mask.bit_count()
             for pattern in patterns:
                 images = tuple(support[j] for j in pattern)
-                value = score(support, images, aff, floor)
+                value = score(support, images, aff, floor, p1, p2, r1, r2)
                 if value is not None and value < best_value:
                     best_value, best_sigma = value, dict(zip(support, images))
             return
@@ -340,18 +324,42 @@ def _search_best(ctx, candidates, max_support):
         left = size - len(forced)
         while len(most) <= left:
             most.append(_suffix_sums(masks, len(most)))
-        base = size + ctx.base_active
+        base = size + base_active
         patterns = None
         extend(0, seed, left)
     return best_value, best_sigma
 
 
-def _assemble(t1, t2, sigma, method):
+def _search(t1, t2, k, candidates, method):
+    """The oracle's and ``fpt_distance``'s one body, on a checked pair.
+
+    One disagreement scan feeds the partition guard and the search; the
+    best permutation of at most ``k`` labels drawn from ``candidates``
+    is completed by a link-and-cut script into the witness, whose size
+    must equal the value the search found.  Returns a
+    :class:`RearrangementResult`, or a :class:`BudgetExceeded` when no
+    sequence of size at most ``k`` was found.
+    """
+    differ = _disagreements(t1._parent, t2._parent)
+    psize = _partition_size(differ)
+    lower = (psize + 1) // 2
+    if psize > 2 * k:
+        return BudgetExceeded(budget=k, lower_bound=lower)
+    value, sigma = _search_best(
+        t1, t2, differ, _candidates(t1, t2, differ, candidates), k
+    )
+    if value > k:
+        best = None if value == _INF else int(value)
+        return BudgetExceeded(budget=k, lower_bound=lower, best_found=best)
     pi = Permutation(sigma)
-    mid = apply_permutation(t1, pi)
-    script = linkcut_script(mid, t2)
+    script = linkcut_script(apply_permutation(t1, pi), t2)
     witness = OperationSequence((pi, *script.ops))
-    return RearrangementResult(pi.size + len(script), witness, method)
+    result = RearrangementResult(pi.size + len(script), witness, method)
+    if result.distance != value:
+        raise RuntimeError(
+            f"{method} witness has size {result.distance}, search found {value}"
+        )
+    return result
 
 
 def brute_force_distance(t1, t2, max_labels=8):
@@ -368,14 +376,7 @@ def brute_force_distance(t1, t2, max_labels=8):
         raise OracleSizeError(
             f"{n} labels exceed the exhaustive-search guard of {max_labels}"
         )
-    ctx = _PairSearch(t1, t2)
-    value, sigma = _search_best(ctx, sorted(t1.labels), n)
-    result = _assemble(t1, t2, sigma, "oracle")
-    if result.distance != value:
-        raise RuntimeError(
-            f"oracle witness has size {result.distance}, search found {value}"
-        )
-    return result
+    return _search(t1, t2, _INF, "all", "oracle")
 
 
 def fpt_distance(t1, t2, k, candidates="all"):
@@ -412,19 +413,7 @@ def fpt_distance(t1, t2, k, candidates="all"):
         raise ValueError("budget k must be non-negative")
     if candidates not in ("vg", "x", "all"):
         raise ValueError(f"unknown candidate set {candidates!r} (want vg, x or all)")
-    ctx = _PairSearch(t1, t2)
-    psize = ctx.partition_size()
-    lower = (psize + 1) // 2
-    if psize > 2 * k:
-        return BudgetExceeded(budget=k, lower_bound=lower)
-    value, sigma = _search_best(ctx, ctx.candidate_labels(candidates), k)
-    if value <= k:
-        return _assemble(t1, t2, sigma, "fpt")
-    return BudgetExceeded(
-        budget=k,
-        lower_bound=lower,
-        best_found=None if value == _INF else int(value),
-    )
+    return _search(t1, t2, k, candidates, "fpt")
 
 
 def approx_binary(t1, t2):

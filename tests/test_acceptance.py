@@ -20,7 +20,6 @@ from treemoves.generate import (
     random_recursive_tree,
     random_relabelling,
 )
-from treemoves.rearrangement import _PairSearch
 
 from helpers import (
     EXAMPLE_T1,
@@ -33,7 +32,8 @@ from helpers import (
 
 def lambda_partition_size(t1, t2):
     """Family-partition size with the implicit root allowed as a parent."""
-    return _PairSearch(t1, t2).partition_size()
+    pairs = {(t1.parent(v), t2.parent(v)) for v in t1.labels}
+    return len({(p, q) for p, q in pairs if p != q})
 
 
 @lru_cache(maxsize=None)

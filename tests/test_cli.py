@@ -284,6 +284,34 @@ def test_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["tree", "script", "instance"])
+def test_non_utf8_file_is_input_error(example_files, tmp_path, capsys, role):
+    bad = tmp_path / "bad.txt"
+    # a stray byte inside a tree; a UTF-16 byte-order mark before the rest
+    bad.write_bytes(b"(b,\xffc)a;\n" if role == "tree" else b"\xff\xfemove d b a\n")
+    argv = {
+        "tree": ["dist", "linkcut", str(bad), example_files[1]],
+        "script": ["verify", example_files[0], str(bad), example_files[1]],
+        "instance": ["gen", "reduction3dm", str(bad)],
+    }[role]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read {bad}: not UTF-8 text (invalid start byte)\n"
+    )
+
+
+def test_bom_tree_file(tmp_path, capsys):
+    bom = tmp_path / "bom.nwk"
+    bom.write_bytes(b"\xef\xbb\xbf(b,c)a;\n")
+    plain = tmp_path / "plain.nwk"
+    plain.write_text("(c,b)a;\n")
+    assert main(["dist", "linkcut", str(bom), str(plain), "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["distance"] == 0
+
+
 def test_parse_error_position(tmp_path, capsys):
     bad = tmp_path / "bad.nwk"
     bad.write_text("(a,)b;")

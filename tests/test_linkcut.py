@@ -4,7 +4,8 @@ import pytest
 
 import treemoves as tm
 from treemoves.generate import random_operations, random_recursive_tree
-from treemoves.rearrangement import _PairSearch
+from treemoves.linkcut import _disagreements
+from treemoves.rearrangement import _partition_size
 
 from helpers import bfs_linkcut_distance, example_pair
 
@@ -167,4 +168,5 @@ def test_scan_agrees_with_code_arrays():
             assert distance == len(active)
             assert sum(map(len, partition.groups.values())) == distance
             assert set().union(*partition.groups.values()) == active
-        assert _PairSearch(t1, t2).partition_size() == len(partition)
+        differ = _disagreements(t1._parent, t2._parent)
+        assert _partition_size(differ) == len(partition)

@@ -13,6 +13,7 @@ from treemoves.generate import (
     random_permutation,
     random_recursive_tree,
 )
+from treemoves.linkcut import _disagreements
 
 from helpers import (
     example_pair,
@@ -326,15 +327,16 @@ def _scan_pairs(rng, count):
 
 
 def _spy(monkeypatch, name):
-    """Record the support (and images) of every ``_PairSearch.<name>`` call."""
+    """Record ``args[:2]`` of every ``rearrangement.<name>`` call, which
+    for ``_score`` is the support and its images."""
     calls = []
-    method = getattr(rearrangement._PairSearch, name)
+    function = getattr(rearrangement, name)
 
-    def spy(self, *args):
+    def spy(*args):
         calls.append(args[:2])
-        return method(self, *args)
+        return function(*args)
 
-    monkeypatch.setattr(rearrangement._PairSearch, name, spy)
+    monkeypatch.setattr(rearrangement, name, spy)
     return calls
 
 
@@ -354,21 +356,22 @@ def _planted_pair(rng, n, size):
 
 class TestSupportScan:
     def test_matches_exhaustive_scan(self, monkeypatch):
-        scored = _spy(monkeypatch, "score")
+        scored = _spy(monkeypatch, "_score")
         rng = random.Random(31)
         for trial, (t1, t2) in enumerate(_scan_pairs(rng, 300)):
-            ctx = rearrangement._PairSearch(t1, t2)
+            differ = _disagreements(t1._parent, t2._parent)
             # every budget 0..6 meets every candidate set across the pairs
             kinds = ("all", "x", "vg")
             searches = [(kind, (trial + i) % 7) for i, kind in enumerate(kinds)]
             if len(t1) <= 8:
                 searches.append(("all", len(t1)))
             for kind, k in searches:
-                cands = ctx.candidate_labels(kind)
+                cands = rearrangement._candidates(t1, t2, differ, kind)
                 expected_scored = []
                 expected = exhaustive_support_scan(t1, t2, cands, k, expected_scored)
                 scored.clear()
-                assert rearrangement._search_best(ctx, cands, k) == expected
+                best = rearrangement._search_best(t1, t2, differ, cands, k)
+                assert best == expected
                 # the same supports and images are scored, in the same order
                 assert scored == expected_scored
 
@@ -384,7 +387,7 @@ class TestSupportScan:
 
     def test_planted_k5_build_count(self, monkeypatch):
         t1, t2 = _planted_pair(random.Random(3), 36, 4)
-        builds = _spy(monkeypatch, "neighbourhood")
+        builds = _spy(monkeypatch, "_neighbourhood")
         result = tm.fpt_distance(t1, t2, 5)
         assert isinstance(result, tm.RearrangementResult) and result.distance == 5
         assert tm.verify_sequence(t1, result.witness, t2)
@@ -396,7 +399,7 @@ class TestSupportScan:
         # support up to size 6 of 59 labels) and took over four minutes
         t1, t2 = _planted_pair(random.Random(1), 60, 6)
         assert len(tm.family_partition(t1, t2)) == 13
-        builds = _spy(monkeypatch, "neighbourhood")
+        builds = _spy(monkeypatch, "_neighbourhood")
         result = tm.fpt_distance(t1, t2, 7)
         assert isinstance(result, tm.RearrangementResult) and result.distance == 7
         assert tm.verify_sequence(t1, result.witness, t2)

@@ -32,7 +32,7 @@ print(f"family partition has {partition} classes, so distance >= {-(-partition /
 for k in range(0, exact.distance + 1):
     outcome = tm.fpt_distance(t1, t2, k)
     if isinstance(outcome, tm.BudgetExceeded):
-        note = "rejected by partition guard" if outcome.best_found is None else \
+        note = "rejected by partition guard" if outcome.lower_bound > k else \
             f"searched, best found {outcome.best_found}"
         print(f"  k={k}: exceeds budget ({note})")
     else:

@@ -3,8 +3,10 @@
 Each triple of a 3-bounded 1-common 3DM instance becomes a 3-cycle in
 the movements graph of a generated tree pair: solving a cycle with one
 3-label permutation costs 3, dismantling it with moves alone costs 6, so
-the distance encodes the maximum matching.  These pairs make good stress
-instances precisely because permutations pay off on them.
+a matching of n of the m triples bounds the distance by 3n + 6(m - n).
+Only that direction holds: cycles that mix triples can do better than
+the maximum matching.  These pairs make good stress instances precisely
+because permutations pay off on them.
 """
 
 import treemoves as tm

@@ -3,7 +3,7 @@
 Subcommands::
 
     treemoves dist linkcut|perm|exact|fpt|approx T1 T2 [--k N]
-              [--candidates vg|x|all] [--limit N]
+              [--candidates vg|all] [--limit N]
     treemoves script T1 T2
     treemoves verify T1 SCRIPT T2
     treemoves gen random --seed S --n N --ops K
@@ -24,6 +24,7 @@ import functools
 import json
 import random
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .generate import random_operations, random_recursive_tree
@@ -66,47 +67,44 @@ def _emit(args, record, human_lines):
             print(line)
 
 
+def _exceeded_line(result, heuristic):
+    k, low, best = result.budget, result.lower_bound, result.best_found
+    seen = "nothing found" if best is None else f"best found {best}"
+    if low > k:  # the guard's bound holds for every candidate set
+        seen = "the partition guard rejected the pair"
+    elif heuristic:
+        return f"vg heuristic found nothing within k={k} (lower bound {low}, {seen})"
+    return f"distance exceeds budget k={k} (lower bound {low}, {seen})"
+
+
 def _cmd_dist(args):
     t1 = _load_tree(args.tree1)
     t2 = _load_tree(args.tree2)
     record = {"command": "dist", "variant": args.variant}
     if args.variant == "linkcut":
-        distance = linkcut_distance(t1, t2)
+        distance, method = linkcut_distance(t1, t2), "linear"
         witness = linkcut_script(t1, t2)
-        method = "linear"
     elif args.variant == "perm":
         pi = optimal_permutation(t1, t2)
         distance, witness, method = pi.size, OperationSequence((pi,)), "matching"
-    elif args.variant == "exact":
-        result = brute_force_distance(t1, t2, max_labels=args.limit)
-        distance, witness, method = result.distance, result.witness, result.method
-    elif args.variant == "fpt":
-        result = fpt_distance(t1, t2, args.k, candidates=args.candidates)
-        if isinstance(result, BudgetExceeded):
-            record.update(
-                exceeded=True,
-                budget=result.budget,
-                lower_bound=result.lower_bound,
-                best_found=result.best_found,
-            )
-            _emit(
-                args,
-                record,
-                [
-                    f"distance exceeds budget k={result.budget} "
-                    f"(lower bound {result.lower_bound}, "
-                    f"best found {result.best_found})"
-                ],
-            )
-            return 0
-        distance, witness, method = result.distance, result.witness, result.method
-    else:  # approx
-        result = approx_binary(t1, t2)
+    else:
+        if args.variant == "exact":
+            result = brute_force_distance(t1, t2, max_labels=args.limit)
+        elif args.variant == "fpt":
+            result = fpt_distance(t1, t2, args.k, candidates=args.candidates)
+            if isinstance(result, BudgetExceeded):
+                record.update(exceeded=True, **asdict(result))
+                _emit(args, record, [_exceeded_line(result, args.candidates == "vg")])
+                return 0
+        else:  # approx
+            result = approx_binary(t1, t2)
         distance, witness, method = result.distance, result.witness, result.method
     verified = verify_sequence(t1, witness, t2)
     script = format_script(witness)
     record.update(distance=distance, method=method, witness=script, verified=verified)
     lines = [f"{args.variant} distance: {distance}"]
+    if method == "fpt-vg":
+        lines[0] += " (vg heuristic: an upper bound on the distance)"
     if script:
         lines.extend(script.splitlines())
     lines.append(f"verified: {'true' if verified else 'false'}")
@@ -228,10 +226,10 @@ def _build_parser():
     )
     dist.add_argument(
         "--candidates",
-        choices=["vg", "x", "all"],
+        choices=["vg", "all"],
         default="all",
         help="permutation-support candidate set for fpt "
-        "(all = exact, x/vg = faster heuristics)",
+        "(all = exact, vg = faster heuristic)",
     )
     dist.add_argument(
         "--limit", type=_non_negative, default=8,

@@ -76,7 +76,7 @@ class RearrangementResult:
 
     ``witness`` is in canonical form: one permutation (possibly empty)
     followed by link-and-cut moves.  ``method`` is ``"oracle"``,
-    ``"fpt"`` or ``"approx"``.
+    ``"fpt"``, ``"fpt-vg"`` (not always minimal) or ``"approx"``.
     """
 
     distance: int
@@ -86,10 +86,13 @@ class RearrangementResult:
 
 @dataclass(frozen=True)
 class BudgetExceeded:
-    """Outcome of a budgeted search that proved distance > budget.
+    """Outcome of a budgeted search that found no sequence within budget.
 
+    It proves distance > budget under ``candidates="all"`` or when the
+    partition guard rejected the pair (``lower_bound > budget``).
     ``best_found`` is the smallest value seen within the searched space,
-    or ``None`` when the partition guard rejected the instance outright.
+    or ``None`` if none was: after a guard reject, or when no support of
+    at most ``budget`` labels repairs differing top labels.
     """
 
     budget: int
@@ -174,13 +177,10 @@ def _candidates(t1, t2, differ, kind):
     """The labels a support may draw from, in no particular order."""
     if kind == "all":
         return t1.labels
-    verts = {u for _, p, q in differ for u in (p, q) if u is not None}
-    if t1.root_child != t2.root_child:
-        # only a permutation can rename the top vertex
-        verts.update((t1.root_child, t2.root_child))
-    if kind == "x":
-        verts.update(v for v, _, _ in differ)
-    return verts
+    # movements-graph vertices and the tops, which only a permutation can
+    # rename (the search never permutes a top label the trees share)
+    verts = {u for _, p, q in differ for u in (p, q)} - {None}
+    return verts | {t1.root_child, t2.root_child}
 
 
 def _neighbourhood(support, children):
@@ -393,27 +393,26 @@ def fpt_distance(t1, t2, k, candidates="all"):
     whose best completion cannot beat the best value found; on planted
     pairs that leaves a few dozen to about a thousand supports to score,
     but the worst case is still ``O(n^k)`` supports for a fixed budget.
-    The narrowed sets are faster but can overshoot: an optimal
-    permutation may have to move labels whose parents agree in both
-    trees (a 5-vertex instance exists whose only optimal solution is a
-    5-cycle through two such labels), so neither narrowing is safe in
-    general.  ``"x"`` restricts supports to active labels plus
-    movements-graph vertices; ``"vg"`` to movements-graph vertices
-    alone, the only choice whose size the budget bounds.  Taking one t1
-    per unlabelled shape against every t2, ``"x"`` overshoots on 0 of
-    256 pairs at n = 4 and 10 of 5,625 at n = 5, ``"vg"`` on 2 of 256
-    and 100 of 5,625; ``"x"`` overshoots even when the top vertices
-    agree, though no such pair exists at n <= 5.
+
+    ``"vg"`` draws supports from the movements-graph vertices alone, the
+    only set whose size the budget bounds: a heuristic whose answers
+    carry method ``"fpt-vg"``.  It overshoots when an optimal permutation
+    must move labels whose parents agree in both trees: on 2 of 256
+    pairs at n = 4 and 100 of 5,625 at n = 5 (one t1 per unlabelled
+    shape against every t2), and, against an exact 0/1 program, on 16 of
+    50 seeded n = 20-60 random recursive trees after 1-5 random
+    operations (0 of 100 planted pairs).
 
     Returns a :class:`RearrangementResult` when a sequence of size at most
-    ``k`` exists, else a :class:`BudgetExceeded` report.
+    ``k`` is found, else a :class:`BudgetExceeded` report (a proof that
+    the distance exceeds ``k`` only under ``"all"`` or a guard reject).
     """
     _require_same_labels(t1, t2)
     if k < 0:
         raise ValueError("budget k must be non-negative")
-    if candidates not in ("vg", "x", "all"):
-        raise ValueError(f"unknown candidate set {candidates!r} (want vg, x or all)")
-    return _search(t1, t2, k, candidates, "fpt")
+    if candidates not in ("vg", "all"):
+        raise ValueError(f"unknown candidate set {candidates!r} (want vg or all)")
+    return _search(t1, t2, k, candidates, "fpt" if candidates == "all" else "fpt-vg")
 
 
 def approx_binary(t1, t2):

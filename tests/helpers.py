@@ -259,6 +259,71 @@ def exhaustive_support_scan(t1, t2, candidates, max_support, scored=None):
     return best_value, best_sigma
 
 
+def ilp_rearrangement_distance(t1, t2):
+    """Exact rearrangement distance as a 0/1 program; ``(value, sigma)``.
+
+    The canonical form is one permutation sigma followed by moves, so
+    the distance is the minimum of |sigma| plus the labels whose parent
+    edge sigma does not carry into t2.  ``x[l, a] = 1`` iff sigma(l) = a,
+    a bijection that sends t1's top to t2's; for non-top l and a,
+    ``y[l, a] <= x[l, a]`` and ``y[l, a] <= x[p1(l), p2(a)]``, so y marks
+    the labels whose parent edge is kept.  The objective is
+    ``(n - sum x[l, l]) + (n - 1 - sum y)``.  HiGHS breaks ties its own
+    way, so ``sigma`` is a minimiser but not the search's witness.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    labels = sorted(t1.labels)
+    n = len(labels)
+    index = {v: i for i, v in enumerate(labels)}
+    p1, p2 = t1.parent_map(), t2.parent_map()
+    r1, r2 = t1.root_child, t2.root_child
+    rows1 = [index[v] for v in labels if v != r1]
+    rows2 = [index[v] for v in labels if v != r2]
+    nx, m = n * n, n - 1
+    cost = [0.0] * (nx + m * m)
+    for i in range(n):
+        cost[i * n + i] = -1.0
+    for j in range(nx, nx + m * m):
+        cost[j] = -1.0
+    entries, row = [], 0  # (row, column, coefficient)
+    for i in range(n):  # each label has one image and one preimage
+        entries += [(row, i * n + j, 1.0) for j in range(n)]
+        entries += [(row + 1, j * n + i, 1.0) for j in range(n)]
+        row += 2
+    for y_row, i in enumerate(rows1):
+        pi = index[p1[labels[i]]]
+        for y_col, j in enumerate(rows2):
+            pj = index[p2[labels[j]]]
+            y = nx + y_row * m + y_col
+            entries += [(row, y, 1.0), (row, i * n + j, -1.0)]
+            entries += [(row + 1, y, 1.0), (row + 1, pi * n + pj, -1.0)]
+            row += 2
+    r, c, v = zip(*entries)
+    matrix = coo_array((v, (r, c)), shape=(row, nx + m * m))
+    lower = [1.0] * (2 * n) + [-1.0] * (row - 2 * n)
+    upper = [1.0] * (2 * n) + [0.0] * (row - 2 * n)
+    low_bounds = [0.0] * len(cost)
+    low_bounds[index[r1] * n + index[r2]] = 1.0
+    res = milp(
+        cost,
+        constraints=LinearConstraint(matrix, lower, upper),
+        integrality=[1] * len(cost),
+        bounds=Bounds(low_bounds, 1.0),
+    )
+    if not res.success:
+        raise AssertionError(f"milp failed: {res.message}")
+    value = round(res.fun) + n + m
+    sigma = {
+        labels[i]: labels[j]
+        for i in range(n)
+        for j in range(n)
+        if i != j and res.x[i * n + j] > 0.5
+    }
+    return value, sigma
+
+
 def count_tree_builds(monkeypatch):
     """List that records the size of every ``LabelledTree`` built from now on.
 

@@ -138,6 +138,74 @@ def test_dist_fpt_exceeds(example_files, capsys):
     assert record["exceeded"] is True and record["budget"] == 2
 
 
+@pytest.fixture
+def overshoot_files(tmp_path):
+    # distance 5, but the vg candidate set needs 6
+    f1 = tmp_path / "o1.nwk"
+    f2 = tmp_path / "o2.nwk"
+    f1.write_text("(((v5)v3)v2,v4)v1;")
+    f2.write_text("(v3,((v4)v1)v5)v2;")
+    return str(f1), str(f2)
+
+
+def test_dist_fpt_vg_is_reported_as_heuristic(overshoot_files, capsys):
+    fpt = ["dist", "fpt", *overshoot_files, "--candidates", "vg"]
+    assert main([*fpt, "--k", "5"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line == "vg heuristic found nothing within k=5 (lower bound 2, best found 6)"
+    assert main([*fpt, "--k", "6"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "fpt distance: 6 (vg heuristic: an upper bound on the distance)"
+    assert out[-1] == "verified: true"
+    assert main([*fpt, "--k", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "dist", "variant": "fpt", "exceeded": True,
+        "budget": 5, "lower_bound": 2, "best_found": 6,
+    }
+    assert main([*fpt, "--k", "6", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert sorted(record) == [
+        "command", "distance", "method", "variant", "verified", "witness"
+    ]
+    assert (record["distance"], record["method"]) == (6, "fpt-vg")
+    # the exact set still answers 5 under the same budget
+    assert main(["dist", "fpt", *overshoot_files, "--k", "5", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["distance"], record["method"]) == (5, "fpt")
+
+
+@pytest.mark.parametrize("candidates", ["all", "vg"])
+def test_dist_fpt_guard_reject_says_so(overshoot_files, candidates, capsys):
+    fpt = ["dist", "fpt", *overshoot_files, "--k", "1", "--candidates", candidates]
+    assert main(fpt) == 0
+    assert capsys.readouterr().out == (
+        "distance exceeds budget k=1 (lower bound 2, the partition guard "
+        "rejected the pair)\n"
+    )
+    assert main([*fpt, "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["best_found"] is None and record["lower_bound"] == 2
+
+
+def test_dist_fpt_nothing_found_past_the_guard(tmp_path, capsys):
+    # the tops differ and one label cannot swap them, yet the two
+    # disagreement classes pass the guard at k = 1
+    f1, f2 = tmp_path / "t1.nwk", tmp_path / "t2.nwk"
+    f1.write_text("(b)a;")
+    f2.write_text("(a)b;")
+    assert main(["dist", "fpt", str(f1), str(f2), "--k", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "distance exceeds budget k=1 (lower bound 1, nothing found)\n"
+    )
+
+
+def test_dist_fpt_candidates_x_is_usage_error(example_files, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["dist", "fpt", *example_files, "--candidates", "x"])
+    assert err.value.code == 2
+    assert "invalid choice: 'x'" in capsys.readouterr().err
+
+
 def test_dist_fpt_negative_budget_is_usage_error(example_files, capsys):
     with pytest.raises(SystemExit) as err:
         main(["dist", "fpt", *example_files, "--k", "-1"])

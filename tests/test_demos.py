@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current library."""
+"""Every demo script runs to completion against the current library,
+with warnings turned into errors as in the rest of the suite."""
 
 import os
 import pathlib
@@ -18,6 +19,7 @@ def test_demo_runs(demo):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -18,6 +18,7 @@ from treemoves.linkcut import _disagreements
 from helpers import (
     example_pair,
     exhaustive_support_scan,
+    ilp_rearrangement_distance,
     naive_rearrangement_distance,
     partition_perturbation,
 )
@@ -250,27 +251,26 @@ class TestFpt:
             t2, _ = random_operations(rng, t1, 3)
             for k in (2, 4):
                 base = tm.fpt_distance(t1, t2, k)
-                # narrowed sets never undershoot; any witness they return is real
-                for cand in ("x", "vg"):
-                    narrow = tm.fpt_distance(t1, t2, k, candidates=cand)
-                    if isinstance(narrow, tm.RearrangementResult):
-                        assert isinstance(base, tm.RearrangementResult)
-                        assert narrow.distance >= base.distance
-                        assert tm.verify_sequence(t1, narrow.witness, t2)
+                # the vg set never undershoots; any witness it returns is real
+                narrow = tm.fpt_distance(t1, t2, k, candidates="vg")
+                if isinstance(narrow, tm.RearrangementResult):
+                    assert isinstance(base, tm.RearrangementResult)
+                    assert narrow.distance >= base.distance
+                    assert narrow.method == "fpt-vg"
+                    assert tm.verify_sequence(t1, narrow.witness, t2)
 
     def test_narrow_candidates_can_overshoot(self):
         # five labels whose only optimal solution is a 5-cycle moving two
-        # labels that have equal parents in both trees: support
-        # restrictions to active labels (or graph vertices) miss it
+        # labels that have equal parents in both trees: restricting
+        # supports to movements-graph vertices misses it
         t1 = tm.parse_tree("(((v5)v3)v2,v4)v1;")
         t2 = tm.parse_tree("(v3,((v4)v1)v5)v2;")
         assert tm.brute_force_distance(t1, t2).distance == 5
         exact = tm.fpt_distance(t1, t2, 5)
         assert isinstance(exact, tm.RearrangementResult) and exact.distance == 5
-        for cand in ("x", "vg"):
-            narrow = tm.fpt_distance(t1, t2, 5, candidates=cand)
-            assert isinstance(narrow, tm.BudgetExceeded)
-            assert narrow.best_found == 6
+        narrow = tm.fpt_distance(t1, t2, 5, candidates="vg")
+        assert isinstance(narrow, tm.BudgetExceeded)
+        assert narrow.best_found == 6
 
     @pytest.mark.parametrize(
         "text1, text2, exact",
@@ -283,27 +283,28 @@ class TestFpt:
         ids=["d4", "d5"],
     )
     def test_narrow_candidates_overshoot_with_same_top(self, text1, text2, exact):
-        # the tops agree, yet both narrowed sets end one above the distance
+        # the tops agree, yet the vg set ends one above the distance
         t1, t2 = tm.parse_tree(text1), tm.parse_tree(text2)
         assert t1.root_child == t2.root_child
         assert tm.brute_force_distance(t1, t2, max_labels=None).distance == exact
         best = tm.fpt_distance(t1, t2, exact)
         assert isinstance(best, tm.RearrangementResult) and best.distance == exact
         assert tm.verify_sequence(t1, best.witness, t2)
-        for cand in ("x", "vg"):
-            narrow = tm.fpt_distance(t1, t2, exact, candidates=cand)
-            assert isinstance(narrow, tm.BudgetExceeded)
-            assert narrow.best_found == exact + 1
-            found = tm.fpt_distance(t1, t2, exact + 1, candidates=cand)
-            assert found.distance == exact + 1
-            assert tm.verify_sequence(t1, found.witness, t2)
+        narrow = tm.fpt_distance(t1, t2, exact, candidates="vg")
+        assert isinstance(narrow, tm.BudgetExceeded)
+        assert narrow.best_found == exact + 1
+        found = tm.fpt_distance(t1, t2, exact + 1, candidates="vg")
+        assert (found.distance, found.method) == (exact + 1, "fpt-vg")
+        assert tm.verify_sequence(t1, found.witness, t2)
 
     def test_unknown_candidates_raise_before_guard(self):
         t1, t2 = example_pair()
-        # k = 0 is a guard reject on this pair and k = 3 is answered
+        # k = 0 is a guard reject on this pair and k = 3 is answered;
+        # "x" (active labels plus graph vertices) was a candidate set once
         for k in (0, 3):
-            with pytest.raises(ValueError, match="unknown candidate set 'bogus'"):
-                tm.fpt_distance(t1, t2, k, candidates="bogus")
+            for kind in ("bogus", "x"):
+                with pytest.raises(ValueError, match=f"unknown candidate set '{kind}'"):
+                    tm.fpt_distance(t1, t2, k, candidates=kind)
 
 
 def _path(labels):
@@ -361,7 +362,7 @@ class TestSupportScan:
         for trial, (t1, t2) in enumerate(_scan_pairs(rng, 300)):
             differ = _disagreements(t1._parent, t2._parent)
             # every budget 0..6 meets every candidate set across the pairs
-            kinds = ("all", "x", "vg")
+            kinds = ("all", "vg")
             searches = [(kind, (trial + i) % 7) for i, kind in enumerate(kinds)]
             if len(t1) <= 8:
                 searches.append(("all", len(t1)))
@@ -430,6 +431,36 @@ class TestSupportScan:
         assert result.witness.ops[0].size == 0
         assert tm.verify_sequence(t1, result.witness, t2)
         assert tm.fpt_distance(t1, t2, 11) == tm.BudgetExceeded(11, 6, 12)
+
+
+class TestIlpOracle:
+    """The 0/1 program is an oracle independent of the support search;
+    values are compared, not witnesses, since HiGHS breaks ties its own way."""
+
+    def test_matches_oracle_on_small_pairs(self):
+        for seed in range(120):
+            rng = random.Random(seed)
+            n = rng.randint(1, 8)
+            make = random_recursive_tree if seed % 2 else random_binary_tree
+            t1 = make(rng, n)
+            t2, _ = random_operations(rng, t1, rng.randint(0, 6), perm_probability=0.5)
+            value, sigma = ilp_rearrangement_distance(t1, t2)
+            assert value == tm.brute_force_distance(t1, t2).distance
+            pi = tm.Permutation(sigma)
+            script = tm.linkcut_script(tm.apply_permutation(t1, pi), t2)
+            assert pi.size + len(script) == value
+
+    @pytest.mark.parametrize(
+        "n, size, seed", [(36, 3, 1), (48, 4, 2), (60, 5, 3)]
+    )
+    def test_fpt_meets_ilp_on_planted_pairs(self, n, size, seed):
+        t1, t2 = _planted_pair(random.Random(seed), n, size)
+        value, _ = ilp_rearrangement_distance(t1, t2)
+        result = tm.fpt_distance(t1, t2, value)
+        assert isinstance(result, tm.RearrangementResult)
+        assert result.distance == value
+        assert tm.verify_sequence(t1, result.witness, t2)
+        assert isinstance(tm.fpt_distance(t1, t2, value - 1), tm.BudgetExceeded)
 
 
 class TestApproxBinary:

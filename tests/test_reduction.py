@@ -5,6 +5,8 @@ import pytest
 import treemoves as tm
 from treemoves.generate import random_3dm_instance
 
+from helpers import ilp_rearrangement_distance
+
 
 
 SHARED_B = tm.ThreeDMInstance(
@@ -148,6 +150,32 @@ def test_constructive_upper_bound_shared_instance():
     seq = cycle_solving_witness(SHARED_B, t1, t2, best_matching(SHARED_B, n))
     assert tm.verify_sequence(t1, seq, t2)
     assert tm.sequence_size(seq) == tm.reduction_bound(SHARED_B.m, n) == 9
+
+
+# any two triples share one element, so the maximum matching is 1
+MIXED_CYCLE = tm.ThreeDMInstance(
+    ("a", "y"), ("b", "z"), ("c", "x"),
+    (("a", "b", "x"), ("y", "b", "c"), ("a", "z", "c")),
+)
+
+
+def test_distance_can_beat_the_matching_bound():
+    # the bound holds only in the "if" direction: the 6-cycle
+    # a>z>c>y>b>x>a mixes all three triples, and like a triple's own
+    # 3-cycle it repairs two gadget leaves per permuted label
+    t1, t2 = tm.build_reduction(MIXED_CYCLE)
+    assert len(t1) == 25
+    assert tm.max_matching_bruteforce(MIXED_CYCLE) == 1
+    assert tm.reduction_bound(3, 1) == 15
+    (pi,) = tm.parse_script("perm a>z b>x c>y x>a y>b z>c").ops
+    witness = tm.OperationSequence(
+        (pi, *tm.linkcut_script(tm.apply_permutation(t1, pi), t2).ops)
+    )
+    assert tm.verify_sequence(t1, witness, t2)
+    assert tm.sequence_size(witness) == 12
+    assert ilp_rearrangement_distance(t1, t2)[0] == 12
+    found = tm.fpt_distance(t1, t2, 12, candidates="vg")
+    assert (found.distance, found.method) == (12, "fpt-vg")
 
 
 def test_single_triple_distance_is_three():

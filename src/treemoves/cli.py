@@ -24,7 +24,6 @@ import functools
 import json
 import random
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .generate import random_operations, random_recursive_tree
@@ -82,22 +81,29 @@ def _cmd_dist(args):
     t2 = _load_tree(args.tree2)
     record = {"command": "dist", "variant": args.variant}
     if args.variant == "linkcut":
-        distance, method = linkcut_distance(t1, t2), "linear"
+        distance = linkcut_distance(t1, t2)
         witness = linkcut_script(t1, t2)
+        method = "linear"
     elif args.variant == "perm":
         pi = optimal_permutation(t1, t2)
         distance, witness, method = pi.size, OperationSequence((pi,)), "matching"
-    else:
-        if args.variant == "exact":
-            result = brute_force_distance(t1, t2, max_labels=args.limit)
-        elif args.variant == "fpt":
-            result = fpt_distance(t1, t2, args.k, candidates=args.candidates)
-            if isinstance(result, BudgetExceeded):
-                record.update(exceeded=True, **asdict(result))
-                _emit(args, record, [_exceeded_line(result, args.candidates == "vg")])
-                return 0
-        else:  # approx
-            result = approx_binary(t1, t2)
+    elif args.variant == "exact":
+        result = brute_force_distance(t1, t2, max_labels=args.limit)
+        distance, witness, method = result.distance, result.witness, result.method
+    elif args.variant == "fpt":
+        result = fpt_distance(t1, t2, args.k, candidates=args.candidates)
+        if isinstance(result, BudgetExceeded):
+            record.update(
+                exceeded=True,
+                budget=result.budget,
+                lower_bound=result.lower_bound,
+                best_found=result.best_found,
+            )
+            _emit(args, record, [_exceeded_line(result, args.candidates == "vg")])
+            return 0
+        distance, witness, method = result.distance, result.witness, result.method
+    else:  # approx
+        result = approx_binary(t1, t2)
         distance, witness, method = result.distance, result.witness, result.method
     verified = verify_sequence(t1, witness, t2)
     script = format_script(witness)

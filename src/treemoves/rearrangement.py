@@ -88,11 +88,9 @@ class RearrangementResult:
 class BudgetExceeded:
     """Outcome of a budgeted search that found no sequence within budget.
 
-    It proves distance > budget under ``candidates="all"`` or when the
-    partition guard rejected the pair (``lower_bound > budget``).
-    ``best_found`` is the smallest value seen within the searched space,
-    or ``None`` if none was: after a guard reject, or when no support of
-    at most ``budget`` labels repairs differing top labels.
+    A proof that distance > budget only under ``candidates="all"`` or a
+    guard reject (``lower_bound > budget``).  ``best_found`` is the
+    smallest value seen in the searched space, or ``None`` if none was.
     """
 
     budget: int
@@ -395,17 +393,14 @@ def fpt_distance(t1, t2, k, candidates="all"):
     but the worst case is still ``O(n^k)`` supports for a fixed budget.
 
     ``"vg"`` draws supports from the movements-graph vertices alone, the
-    only set whose size the budget bounds: a heuristic whose answers
-    carry method ``"fpt-vg"``.  It overshoots when an optimal permutation
-    must move labels whose parents agree in both trees: on 2 of 256
-    pairs at n = 4 and 100 of 5,625 at n = 5 (one t1 per unlabelled
-    shape against every t2), and, against an exact 0/1 program, on 16 of
-    50 seeded n = 20-60 random recursive trees after 1-5 random
-    operations (0 of 100 planted pairs).
+    only set whose size the budget bounds: a heuristic, whose answers
+    carry method ``"fpt-vg"``.  It overshoots on 2 of 256 pairs at n = 4
+    and 100 of 5,625 at n = 5 (one t1 per shape against every t2), and,
+    against an exact 0/1 program, on 16 of 50 seeded n = 20-60 random
+    recursive trees after 1-5 random operations (0 of 100 planted pairs).
 
     Returns a :class:`RearrangementResult` when a sequence of size at most
-    ``k`` is found, else a :class:`BudgetExceeded` report (a proof that
-    the distance exceeds ``k`` only under ``"all"`` or a guard reject).
+    ``k`` is found, else a :class:`BudgetExceeded` report.
     """
     _require_same_labels(t1, t2)
     if k < 0:

@@ -6,10 +6,9 @@ pair of trees: a shared top vertex ``r`` with one child per element, and
 for each triple ``(a, b, c)`` a pair of gadget leaves under each of
 ``a``, ``b``, ``c`` in the first tree, cyclically shifted to ``b``,
 ``c``, ``a`` in the second.  Each triple thus contributes one 3-cycle to
-the movements graph.  A matching of size n bounds the pair's distance
-by ``3*n + 6*(m - n)``, but not conversely: any cycle of triple edges,
-such as a 6-cycle mixing three triples, also repairs two gadget leaves
-per permuted label, so the distance can beat the maximum matching.
+the movements graph.  A matching of size n bounds the pair's distance by
+``3*n + 6*(m - n)``, but not conversely: a cycle of edges from several
+triples repairs two gadget leaves per permuted label just as well.
 
 Instance text format: three header lines listing the element sets, then
 one ``a b c`` triple per line.

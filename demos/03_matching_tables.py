@@ -38,7 +38,7 @@ print()
 
 root_cost = table.mismatch_cost(t1.root_child, t2.root_child)
 print("distance (root entry):", root_cost)
-pi = tm.optimal_permutation(t1, t2, table=table)
+pi = tm.optimal_permutation(t1, t2)
 print("recovered permutation:", pi)
 print("applies correctly:", tm.apply_permutation(t1, pi) == t2)
 print("moved labels + conserved labels =",

@@ -17,8 +17,6 @@ answers, not errors), 1 on computation or input errors, 2 on usage
 errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -95,6 +93,7 @@ def _cmd_dist(args):
         if isinstance(result, BudgetExceeded):
             record.update(
                 exceeded=True,
+                method="fpt-vg" if args.candidates == "vg" else "fpt",
                 budget=result.budget,
                 lower_bound=result.lower_bound,
                 best_found=result.best_found,

@@ -6,8 +6,6 @@ new vertex attaches to a uniformly chosen existing vertex, which covers
 unbounded degrees.
 """
 
-from __future__ import annotations
-
 from .ops import LinkCutOp, OperationSequence, Permutation, _move, _relabel, apply_permutation
 from .reduction3dm import ThreeDMInstance
 from .tree import LabelledTree, _in_subtree

@@ -7,8 +7,6 @@ labels by their (parent-in-first, parent-in-second) pair gives the
 keys form the edges of the *movements graph*.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from operator import ne
 
@@ -49,16 +47,6 @@ class RootMismatchError(TreeError):
 
 
 @dataclass(frozen=True)
-class FamilyPartition:
-    """Active labels grouped by their ordered pair of parents."""
-
-    groups: dict
-
-    def __len__(self):
-        return len(self.groups)
-
-
-@dataclass(frozen=True)
 class MovementsGraph:
     """Directed graph with one edge per family-partition class."""
 
@@ -90,12 +78,13 @@ def active_set(t1, t2):
 
 
 def family_partition(t1, t2):
-    """Partition of the active set by (parent in t1, parent in t2)."""
+    """Partition of the active set by (parent in t1, parent in t2), as a
+    dict from each such pair to the frozenset of its active labels."""
     _check_pair(t1, t2)
     groups: dict = {}
     for v, p, q in _disagreements(t1._parent, t2._parent):
         groups.setdefault((p, q), set()).add(v)
-    return FamilyPartition({key: frozenset(val) for key, val in groups.items()})
+    return {key: frozenset(val) for key, val in groups.items()}
 
 
 def linkcut_distance(t1, t2):
@@ -124,7 +113,6 @@ def linkcut_script(t1, t2):
 
 def movements_graph(t1, t2):
     """Graph whose edges are the family-partition keys."""
-    partition = family_partition(t1, t2)
-    edges = frozenset(partition.groups)
+    edges = frozenset(family_partition(t1, t2))
     vertices = frozenset(v for edge in edges for v in edge)
     return MovementsGraph(vertices, edges)

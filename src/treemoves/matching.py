@@ -12,8 +12,6 @@ Every row may be matched to every column: callers with forbidden pairs
 split the problem into independent blocks in which all pairs are allowed.
 """
 
-from __future__ import annotations
-
 __all__ = ["min_cost_perfect_matching"]
 
 

@@ -12,8 +12,6 @@ Script text format (one operation per line)::
     perm old>new old>new ...
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 from .tree import BadLabelError, LabelledTree, TreeError, UnknownLabelError, _check_label

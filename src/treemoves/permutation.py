@@ -17,8 +17,6 @@ the table records its optimal child matching, from which an optimal
 permutation is recovered.
 """
 
-from __future__ import annotations
-
 from .linkcut import _require_same_labels
 from .matching import min_cost_perfect_matching
 from .ops import Permutation
@@ -169,16 +167,15 @@ def permutation_distance(t1, t2):
     return optimal_permutation(t1, t2).size
 
 
-def optimal_permutation(t1, t2, table=None):
+def optimal_permutation(t1, t2):
     """A permutation of minimum size whose application makes t1 congruent to t2.
 
     Walks one optimal isomorphism down from the roots through the stored
     child matchings; each vertex's label is sent to the label of its
-    image.  Pass a precomputed ``table`` to avoid recomputing it.
+    image.
     """
     _require_same_labels(t1, t2)
-    if table is None:
-        table = mismatch_table(t1, t2)
+    table = mismatch_table(t1, t2)
     r1, r2 = t1.root_child, t2.root_child
     if table.mismatch_cost(r1, r2) == _INF:
         raise NotIsomorphicError("trees are not isomorphic as rooted trees")

@@ -14,8 +14,6 @@ Instance text format: three header lines listing the element sets, then
 one ``a b c`` triple per line.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from itertools import combinations
 

@@ -25,8 +25,6 @@ reaches ``top``, and ``children`` lists, in ``parent``'s key order, each
 vertex's children as a sorted tuple.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 import re
@@ -247,14 +245,6 @@ class LabelledTree:
                 depth[c] = d
                 stack.append(c)
         return depth
-
-    def is_descendant(self, label, ancestor):
-        """True if ``label`` is a strict descendant of ``ancestor``."""
-        if label not in self._parent:
-            raise UnknownLabelError(f"no vertex labelled {label!r}")
-        if ancestor not in self._parent:
-            raise UnknownLabelError(f"no vertex labelled {ancestor!r}")
-        return label != ancestor and _in_subtree(self._parent, label, ancestor)
 
     def is_binary(self):
         """True if every vertex has at most two children."""

@@ -20,6 +20,14 @@ def example_pair():
     return tm.parse_tree(EXAMPLE_T1), tm.parse_tree(EXAMPLE_T2)
 
 
+def is_descendant(tree, label, ancestor):
+    """True if ``ancestor`` is a strict ancestor of ``label`` in ``tree``."""
+    p = tree.parent(label)
+    while p is not None and p != ancestor:
+        p = tree.parent(p)
+    return p is not None
+
+
 def bfs_linkcut_distance(t1, t2):
     """Shortest link-and-cut script length by BFS over all trees."""
     if t1 == t2:
@@ -37,7 +45,7 @@ def bfs_linkcut_distance(t1, t2):
                 if p is None:
                     continue
                 for w in labs:
-                    if w == v or w == p or t.is_descendant(w, v):
+                    if w == v or w == p or is_descendant(t, w, v):
                         continue
                     u = tm.replay_sequence(t, (tm.LinkCutOp(v, p, w),))
                     if u == t2:
@@ -108,7 +116,7 @@ def rebuild_replay(tree, seq):
                     f"cannot apply {op}: parent of {op.child!r} is "
                     f"{tree.parent(op.child)!r}, not {op.source!r}"
                 )
-            if op.target == op.child or tree.is_descendant(op.target, op.child):
+            if op.target == op.child or is_descendant(tree, op.target, op.child):
                 raise tm.DescendantTargetError(
                     f"cannot apply {op}: {op.target!r} is a descendant of {op.child!r}"
                 )

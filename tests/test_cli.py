@@ -83,6 +83,28 @@ def test_dist_runs_without_numpy(example_files):
     ]
 
 
+_IMPORT_ADDS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import treemoves.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_logging():
+    # a fresh CLI process pays for every module the package imports
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ADDS, str(src)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "treemoves.cli" in added
+    assert not added & {"logging", "__future__"}
+
+
 _ONE_CALL = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -159,7 +181,7 @@ def test_dist_fpt_vg_is_reported_as_heuristic(overshoot_files, capsys):
     assert out[-1] == "verified: true"
     assert main([*fpt, "--k", "5", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {
-        "command": "dist", "variant": "fpt", "exceeded": True,
+        "command": "dist", "variant": "fpt", "exceeded": True, "method": "fpt-vg",
         "budget": 5, "lower_bound": 2, "best_found": 6,
     }
     assert main([*fpt, "--k", "6", "--json"]) == 0
@@ -172,6 +194,18 @@ def test_dist_fpt_vg_is_reported_as_heuristic(overshoot_files, capsys):
     assert main(["dist", "fpt", *overshoot_files, "--k", "5", "--json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert (record["distance"], record["method"]) == (5, "fpt")
+
+
+# the exact set answers 5 at k = 5, so it exceeds only at k = 4
+@pytest.mark.parametrize("candidates, k", [("all", 4), ("vg", 5)])
+def test_dist_fpt_exceeded_names_its_search(overshoot_files, candidates, k, capsys):
+    fpt = ["dist", "fpt", *overshoot_files, "--candidates", candidates, "--json"]
+    assert main([*fpt, "--k", str(k)]) == 0
+    exceeded = json.loads(capsys.readouterr().out)
+    assert main([*fpt, "--k", str(k + 1)]) == 0
+    answer = json.loads(capsys.readouterr().out)
+    assert exceeded["exceeded"] is True and "exceeded" not in answer
+    assert exceeded["method"] == answer["method"] == {"all": "fpt", "vg": "fpt-vg"}[candidates]
 
 
 @pytest.mark.parametrize("candidates", ["all", "vg"])

@@ -33,7 +33,7 @@ def test_root_mismatch():
 def test_family_partition_example():
     t1, t2 = example_pair()
     partition = tm.family_partition(t1, t2)
-    assert partition.groups == {
+    assert partition == {
         ("a", "d"): frozenset({"b"}),
         ("b", "a"): frozenset({"d"}),
         ("b", "d"): frozenset({"e"}),
@@ -45,13 +45,13 @@ def test_family_partition_example():
 
 def test_family_partition_self_empty():
     t1, _ = example_pair()
-    assert tm.family_partition(t1, t1).groups == {}
+    assert tm.family_partition(t1, t1) == {}
 
 
 def test_family_partition_pair_class():
     t1 = tm.parse_tree("((d,e)b,c)a;")
     t2 = tm.parse_tree("((d,e)c,b)a;")
-    assert tm.family_partition(t1, t2).groups == {("b", "c"): frozenset({"d", "e"})}
+    assert tm.family_partition(t1, t2) == {("b", "c"): frozenset({"d", "e"})}
     assert tm.linkcut_distance(t1, t2) == 2
 
 
@@ -166,7 +166,7 @@ def test_scan_agrees_with_code_arrays():
             partition = tm.family_partition(t1, t2)
             assert active == {v for v in t1.labels if t1.parent(v) != t2.parent(v)}
             assert distance == len(active)
-            assert sum(map(len, partition.groups.values())) == distance
-            assert set().union(*partition.groups.values()) == active
+            assert sum(map(len, partition.values())) == distance
+            assert set().union(*partition.values()) == active
         differ = _disagreements(t1._parent, t2._parent)
         assert _partition_size(differ) == len(partition)

@@ -11,7 +11,7 @@ from treemoves.generate import (
 )
 from treemoves.permutation import _canonical_codes
 
-from helpers import count_tree_builds, example_pair, rebuild_replay
+from helpers import count_tree_builds, example_pair, is_descendant, rebuild_replay
 
 
 class TestLinkCut:
@@ -199,7 +199,7 @@ def _invalid_op(rng, tree, kind):
         inner = [v for v in labels if v != top and tree.children(v)]
         if inner:
             v = rng.choice(inner)
-            below = [w for w in labels if tree.is_descendant(w, v)]
+            below = [w for w in labels if is_descendant(tree, w, v)]
             return tm.LinkCutOp(v, tree.parent(v), rng.choice(below))
     if kind == "unknown_move":
         v = rng.choice([w for w in labels if w != top])

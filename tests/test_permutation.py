@@ -119,7 +119,7 @@ class TestOptimalPermutation:
             t1 = random_recursive_tree(rng, rng.randint(2, 14))
             t2, _ = random_relabelling(rng, t1)
             table = tm.mismatch_table(t1, t2)
-            pi = tm.optimal_permutation(t1, t2, table=table)
+            pi = tm.optimal_permutation(t1, t2)
             assert pi.size == int(table.mismatch_cost(t1.root_child, t2.root_child))
             assert tm.apply_permutation(t1, pi) == t2
 
@@ -267,7 +267,7 @@ def test_path_fills_without_solver(monkeypatch):
     calls = []
     monkeypatch.setattr(tm.permutation, "min_cost_perfect_matching", calls.append)
     table = tm.mismatch_table(t1, t2)
-    pi = tm.optimal_permutation(t1, t2, table)
+    pi = tm.optimal_permutation(t1, t2)
     assert calls == []
     assert len(table.cost) == len(labels) - 1
     assert pi.mapping == {a: b for a, b in zip(labels, images) if a != b}
@@ -282,7 +282,7 @@ def test_storage_follows_reachable_pairs(seed):
     t1 = random_recursive_tree(rng, 20000)
     t2, _ = random_relabelling(rng, t1)
     table = tm.mismatch_table(t1, t2)
-    pi = tm.optimal_permutation(t1, t2, table=table)
+    pi = tm.optimal_permutation(t1, t2)
     assert tm.apply_permutation(t1, pi) == t2
     assert pi.size == table.mismatch_cost(t1.root_child, t2.root_child)
     assert len(table.cost) <= len(t1)

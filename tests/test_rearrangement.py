@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -225,6 +226,12 @@ class TestFpt:
         with pytest.raises(ValueError):
             tm.fpt_distance(t1, t1, -1)
 
+    @pytest.mark.parametrize("k", [2.0, "3", math.inf])
+    def test_non_integer_budget(self, k):
+        t1, t2 = example_pair()
+        with pytest.raises(ValueError, match="budget k must be a non-negative integer"):
+            tm.fpt_distance(t1, t2, k)
+
     def test_agrees_with_oracle(self):
         rng = random.Random(26)
         for _ in range(40):
@@ -431,6 +438,22 @@ class TestSupportScan:
         assert result.witness.ops[0].size == 0
         assert tm.verify_sequence(t1, result.witness, t2)
         assert tm.fpt_distance(t1, t2, 11) == tm.BudgetExceeded(11, 6, 12)
+
+
+def test_search_leaves_no_reference_cycle():
+    # cyclic garbage waits for a collection, which then lands on whatever
+    # call happens to trigger it
+    t1, t2 = example_pair()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert tm.fpt_distance(t1, t2, 3).distance == 3
+        assert tm.brute_force_distance(t1, t2).distance == 3
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestIlpOracle:

@@ -202,15 +202,8 @@ class TestInvariants:
         with pytest.raises(tm.BadLabelError):
             tm.LabelledTree({"a b": None})
 
-    def test_descendant_and_traversals(self):
+    def test_traversals(self):
         t = tm.parse_tree(EXAMPLE_T1)
-        assert t.is_descendant("d", "a")
-        assert t.is_descendant("d", "b")
-        assert not t.is_descendant("d", "c")
-        assert not t.is_descendant("a", "d")
-        for label, ancestor in (("z", "a"), ("d", "z")):
-            with pytest.raises(tm.UnknownLabelError, match="no vertex labelled 'z'"):
-                t.is_descendant(label, ancestor)
         assert list(t.postorder()) == ["d", "e", "f", "b", "g", "h", "c", "a"]
         assert t.depths() == {
             "a": 0, "b": 1, "c": 1, "d": 2, "e": 2, "f": 2, "g": 2, "h": 2,

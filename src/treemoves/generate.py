@@ -129,7 +129,7 @@ def random_operations(rng, tree, count, perm_probability=0.3, keep_top=False):
             _relabel(parent, op)
             top = op(top)
         ops.append(op)
-    return LabelledTree(parent), OperationSequence(tuple(ops))
+    return LabelledTree(parent), OperationSequence(ops)
 
 
 def random_relabelling(rng, tree):

@@ -7,7 +7,7 @@ labels by their (parent-in-first, parent-in-second) pair gives the
 keys form the edges of the *movements graph*.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import ne
 
 from .ops import LinkCutOp, OperationSequence
@@ -46,12 +46,10 @@ class RootMismatchError(TreeError):
     """
 
 
-@dataclass(frozen=True)
-class MovementsGraph:
+class MovementsGraph(namedtuple("MovementsGraph", "vertices edges")):
     """Directed graph with one edge per family-partition class."""
 
-    vertices: frozenset
-    edges: frozenset
+    __slots__ = ()
 
 
 def _check_pair(t1, t2):
@@ -108,7 +106,7 @@ def linkcut_script(t1, t2):
         for v in t1.postorder()
         if p1[v] != p2[v]
     ]
-    return OperationSequence(tuple(ops))
+    return OperationSequence(ops)
 
 
 def movements_graph(t1, t2):

@@ -12,7 +12,7 @@ Script text format (one operation per line)::
     perm old>new old>new ...
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .tree import BadLabelError, LabelledTree, TreeError, UnknownLabelError, _check_label
 from .tree import _in_subtree
@@ -43,22 +43,23 @@ class DescendantTargetError(OperationError):
     pass
 
 
-@dataclass(frozen=True)
-class LinkCutOp:
+class LinkCutOp(namedtuple("LinkCutOp", "child source target")):
     """Move ``child`` from parent ``source`` to new parent ``target``."""
 
-    child: str
-    source: str
-    target: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        for label in (self.child, self.source, self.target):
+    def __new__(cls, child, source, target):
+        for label in (child, source, target):
             _check_label(label)
-        if len({self.child, self.source, self.target}) != 3:
+        if len({child, source, target}) != 3:
             raise BadLabelError(
                 f"move needs three distinct labels, got "
-                f"({self.child!r}, {self.source!r}, {self.target!r})"
+                f"({child!r}, {source!r}, {target!r})"
             )
+        return super().__new__(cls, child, source, target)
+
+    # namedtuple's _make, and _replace through it, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def inverse(self):
         return LinkCutOp(self.child, self.target, self.source)
@@ -142,23 +143,24 @@ class Permutation:
         return f"perm {pairs}" if pairs else "perm"
 
 
-@dataclass(frozen=True)
-class OperationSequence:
-    """Ordered sequence of moves and permutations."""
+class OperationSequence(tuple):
+    """Ordered sequence of moves and permutations: a tuple of operations."""
 
-    ops: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
+    def __new__(cls, ops=()):
+        self = super().__new__(cls, ops)
+        for op in self:
             if not isinstance(op, (LinkCutOp, Permutation)):
                 raise TypeError(f"not an operation: {op!r}")
+        return self
 
-    def __iter__(self):
-        return iter(self.ops)
+    @property
+    def ops(self):
+        return tuple(self)
 
-    def __len__(self):
-        return len(self.ops)
+    def __repr__(self):
+        return f"OperationSequence(ops={tuple(self)!r})"
 
     def __str__(self):
         return format_script(self)
@@ -272,7 +274,7 @@ def parse_script(text):
                 raise TreeError(f"unknown operation {kind!r}")
         except TreeError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
-    return OperationSequence(tuple(ops))
+    return OperationSequence(ops)
 
 
 def format_script(seq):

@@ -32,7 +32,7 @@ derangements are listed when its first support survives.
 import bisect
 import itertools
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linkcut import _disagreements, _require_same_labels, linkcut_script
 from .ops import (
@@ -65,8 +65,7 @@ class OracleSizeError(TreeError):
     """Instance exceeds the guard of an exhaustive computation."""
 
 
-@dataclass(frozen=True)
-class RearrangementResult:
+class RearrangementResult(namedtuple("RearrangementResult", "distance witness method")):
     """A distance value with its replayable witness.
 
     ``witness`` is in canonical form: one permutation (possibly empty)
@@ -74,13 +73,12 @@ class RearrangementResult:
     ``"fpt"``, ``"fpt-vg"`` (not always minimal) or ``"approx"``.
     """
 
-    distance: int
-    witness: OperationSequence
-    method: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BudgetExceeded:
+class BudgetExceeded(
+    namedtuple("BudgetExceeded", "budget lower_bound best_found", defaults=(None,))
+):
     """Outcome of a budgeted search that found no sequence within budget.
 
     A proof that distance > budget only under ``candidates="all"`` or a
@@ -88,9 +86,7 @@ class BudgetExceeded:
     smallest value seen in the searched space, or ``None`` if none was.
     """
 
-    budget: int
-    lower_bound: int
-    best_found: int | None = None
+    __slots__ = ()
 
 
 def canonicalize_sequence(seq):
@@ -115,7 +111,7 @@ def canonicalize_sequence(seq):
 def sequence_size(seq):
     """Size of a sequence: composed-permutation size plus move count."""
     canonical = canonicalize_sequence(seq)
-    return canonical.ops[0].size + len(canonical) - 1
+    return canonical[0].size + len(canonical) - 1
 
 
 def check_sequence(t1, seq, t2):
@@ -346,7 +342,7 @@ def _search(t1, t2, k, candidates, method):
         return BudgetExceeded(budget=k, lower_bound=lower, best_found=best)
     pi = Permutation(sigma)
     script = linkcut_script(apply_permutation(t1, pi), t2)
-    witness = OperationSequence((pi, *script.ops))
+    witness = OperationSequence((pi, *script))
     result = RearrangementResult(pi.size + len(script), witness, method)
     if result.distance != value:
         raise RuntimeError(
@@ -398,7 +394,7 @@ def fpt_distance(t1, t2, k, candidates="all"):
     ``k`` is found, else a :class:`BudgetExceeded` report.
     """
     _require_same_labels(t1, t2)
-    if not isinstance(k, int) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError("budget k must be a non-negative integer")
     if candidates not in ("vg", "all"):
         raise ValueError(f"unknown candidate set {candidates!r} (want vg or all)")
@@ -420,5 +416,5 @@ def approx_binary(t1, t2):
             "does not apply",
             stacklevel=2,
         )
-    witness = OperationSequence((Permutation(), *script.ops))
+    witness = OperationSequence((Permutation(), *script))
     return RearrangementResult(len(script), witness, "approx")

@@ -14,7 +14,7 @@ Instance text format: three header lines listing the element sets, then
 one ``a b c`` triple per line.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .tree import LabelledTree, TreeError, _check_label
@@ -28,24 +28,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThreeDMInstance:
+class ThreeDMInstance(
+    namedtuple("ThreeDMInstance", "a_elements b_elements c_elements triples")
+):
     """Disjoint element sets A, B, C and a list of (a, b, c) triples."""
 
-    a_elements: tuple
-    b_elements: tuple
-    c_elements: tuple
-    triples: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a_elements", tuple(self.a_elements))
-        object.__setattr__(self, "b_elements", tuple(self.b_elements))
-        object.__setattr__(self, "c_elements", tuple(self.c_elements))
-        object.__setattr__(self, "triples", tuple(tuple(t) for t in self.triples))
-        sets = [set(self.a_elements), set(self.b_elements), set(self.c_elements)]
-        for name, part, elements in zip(
-            "ABC", sets, (self.a_elements, self.b_elements, self.c_elements)
-        ):
+    def __new__(cls, a_elements, b_elements, c_elements, triples):
+        self = super().__new__(
+            cls,
+            tuple(a_elements),
+            tuple(b_elements),
+            tuple(c_elements),
+            tuple(tuple(t) for t in triples),
+        )
+        sets = [set(elements) for elements in self[:3]]
+        for name, part, elements in zip("ABC", sets, self[:3]):
             for e in part:
                 _check_label(e)
             if len(part) != len(elements):
@@ -66,6 +65,9 @@ class ThreeDMInstance:
         for s, t in combinations(self.triples, 2):
             if len(set(s) & set(t)) > 1:
                 raise TreeError(f"triples {s!r} and {t!r} share more than one element")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # as in LinkCutOp
 
     @property
     def m(self):

@@ -102,7 +102,7 @@ def test_cli_import_loads_no_logging():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "treemoves.cli" in added
-    assert not added & {"logging", "__future__"}
+    assert not added & {"logging", "__future__", "dataclasses", "inspect"}
 
 
 _ONE_CALL = """

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -271,3 +272,90 @@ class TestReplayAgainstRebuild:
         assert tm.check_sequence(t1, seq, t2) is None
         assert not tm.verify_sequence(t1, seq, t1)
         assert built == []
+
+
+_SCRIPT = (
+    "OperationSequence(ops=(LinkCutOp(child='d', source='b', target='a'), "
+    "LinkCutOp(child='e', source='b', target='d'), "
+    "LinkCutOp(child='f', source='b', target='c'), "
+    "LinkCutOp(child='b', source='a', target='d')))"
+)
+
+# (build the record, its fields by name, its repr or None for a repr that
+# holds frozensets, whose order follows the hash seed)
+_RECORDS = {
+    "LinkCutOp": (
+        lambda: tm.LinkCutOp("d", "b", "a"),
+        dict(child="d", source="b", target="a"),
+        "LinkCutOp(child='d', source='b', target='a')",
+    ),
+    "OperationSequence": (
+        lambda: tm.OperationSequence(list(tm.linkcut_script(*example_pair()))),
+        dict(ops=tuple(tm.linkcut_script(*example_pair()))),
+        _SCRIPT,
+    ),
+    "RearrangementResult": (
+        lambda: tm.brute_force_distance(*example_pair()),
+        dict(distance=3, method="oracle"),
+        "RearrangementResult(distance=3, witness=OperationSequence(ops=("
+        "Permutation({b>d, d>b}), LinkCutOp(child='f', source='d', target='c'))), "
+        "method='oracle')",
+    ),
+    "BudgetExceeded": (
+        lambda: tm.BudgetExceeded(3, 1),
+        dict(budget=3, lower_bound=1, best_found=None),
+        "BudgetExceeded(budget=3, lower_bound=1, best_found=None)",
+    ),
+    "MovementsGraph": (
+        lambda: tm.movements_graph(*example_pair()),
+        dict(edges=frozenset({("a", "d"), ("b", "a"), ("b", "c"), ("b", "d")})),
+        None,
+    ),
+    "ThreeDMInstance": (
+        lambda: tm.ThreeDMInstance(["a1"], ["b1"], ["c1"], [["a1", "b1", "c1"]]),
+        dict(a_elements=("a1",), triples=(("a1", "b1", "c1"),)),
+        "ThreeDMInstance(a_elements=('a1',), b_elements=('b1',), "
+        "c_elements=('c1',), triples=(('a1', 'b1', 'c1'),))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_record_contract(name):
+    build, fields, text = _RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    for field, value in fields.items():
+        assert getattr(record, field) == value
+    if text is None:
+        text = f"MovementsGraph(vertices={record.vertices!r}, edges={record.edges!r})"
+    assert repr(record) == text
+    field = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    twin = build()
+    assert twin is not record
+    assert twin == record and hash(twin) == hash(record)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record
+
+
+def test_sequence_holds_its_operations():
+    seq = tm.parse_script("move d b a\nperm b>d d>b\nmove f d c")
+    ops = [tm.LinkCutOp("d", "b", "a"), tm.Permutation({"b": "d", "d": "b"}),
+           tm.LinkCutOp("f", "d", "c")]
+    assert len(seq) == 3
+    assert list(seq) == ops and seq == seq.ops == tuple(ops)
+    assert all(op in seq for op in ops) and tm.LinkCutOp("d", "b", "c") not in seq
+    assert len(tm.OperationSequence()) == 0 and list(tm.OperationSequence()) == []
+
+
+def test_replacing_a_field_runs_the_checks():
+    op = tm.LinkCutOp("d", "b", "a")
+    assert op._replace(target="c") == tm.LinkCutOp("d", "b", "c")
+    with pytest.raises(tm.BadLabelError, match="three distinct labels"):
+        op._replace(target="b")
+    instance = tm.ThreeDMInstance(["a1"], ["b1"], ["c1"], [["a1", "b1", "c1"]])
+    with pytest.raises(tm.TreeError, match="not in A x B x C"):
+        instance._replace(triples=[["b1", "a1", "c1"]])
+    assert instance._replace(triples=[]).triples == ()

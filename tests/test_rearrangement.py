@@ -226,7 +226,7 @@ class TestFpt:
         with pytest.raises(ValueError):
             tm.fpt_distance(t1, t1, -1)
 
-    @pytest.mark.parametrize("k", [2.0, "3", math.inf])
+    @pytest.mark.parametrize("k", [2.0, "3", math.inf, True, False])
     def test_non_integer_budget(self, k):
         t1, t2 = example_pair()
         with pytest.raises(ValueError, match="budget k must be a non-negative integer"):

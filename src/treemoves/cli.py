@@ -22,20 +22,20 @@ import functools
 import json
 import random
 import sys
+import warnings
 
 from . import __version__
 from .generate import random_operations, random_recursive_tree
 from .linkcut import linkcut_distance, linkcut_script
-from .ops import OperationSequence, format_script, parse_script
-from .permutation import optimal_permutation
-from .rearrangement import (
-    BudgetExceeded,
-    approx_binary,
-    brute_force_distance,
+from .ops import (
+    OperationSequence,
     check_sequence,
-    fpt_distance,
+    format_script,
+    parse_script,
     verify_sequence,
 )
+from .permutation import optimal_permutation
+from .rearrangement import BudgetExceeded, approx_binary, brute_force_distance, fpt_distance
 from .reduction3dm import build_reduction, parse_instance
 from .tree import TreeError, parse_tree, serialize_tree
 
@@ -102,7 +102,11 @@ def _cmd_dist(args):
             return 0
         distance, witness, method = result.distance, result.witness, result.method
     else:  # approx
-        result = approx_binary(t1, t2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = approx_binary(t1, t2)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         distance, witness, method = result.distance, result.witness, result.method
     verified = verify_sequence(t1, witness, t2)
     script = format_script(witness)

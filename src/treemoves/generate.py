@@ -6,9 +6,9 @@ new vertex attaches to a uniformly chosen existing vertex, which covers
 unbounded degrees.
 """
 
-from .ops import LinkCutOp, OperationSequence, Permutation, _move, _relabel, apply_permutation
+from .ops import LinkCutOp, OperationSequence, Permutation, _apply, apply_permutation
 from .reduction3dm import ThreeDMInstance
-from .tree import LabelledTree, _in_subtree
+from .tree import LabelledTree, TreeError, _in_subtree
 
 __all__ = [
     "random_recursive_tree",
@@ -73,9 +73,9 @@ def random_permutation(rng, labels, size):
             return Permutation(dict(zip(support, images)))
 
 
-def _draw_move(rng, parent, top, pool):
+def _draw_move(rng, parent, pool):
     """A random valid move on a parent map, or None if there is none."""
-    non_top = [v for v in pool if v != top]
+    non_top = [v for v in pool if parent[v] is not None]
     rng.shuffle(non_top)
     for child in non_top:
         source = parent[child]
@@ -97,7 +97,7 @@ def random_move(rng, tree):
     Rejection-samples targets first (nearly always immediate on random
     trees) and only falls back to a full scan on adversarial shapes.
     """
-    return _draw_move(rng, tree._parent, tree.root_child, sorted(tree.labels))
+    return _draw_move(rng, tree._parent, sorted(tree.labels))
 
 
 def random_operations(rng, tree, count, perm_probability=0.3, keep_top=False):
@@ -109,25 +109,21 @@ def random_operations(rng, tree, count, perm_probability=0.3, keep_top=False):
     """
     ops = []
     parent = tree.parent_map()
-    top = tree.root_child
+    top = tree.root_child  # read only with keep_top, when no operation moves it
     all_labels = sorted(parent)
     pool_size = len(all_labels) - (1 if keep_top else 0)
     for _ in range(count):
         use_perm = pool_size >= 2 and rng.random() < perm_probability
         op = None
         if not use_perm:
-            op = _draw_move(rng, parent, top, all_labels)
+            op = _draw_move(rng, parent, all_labels)
         if op is None:
             if pool_size < 2:
                 break
             pool = [v for v in all_labels if not keep_top or v != top]
             size = rng.randint(2, min(4, pool_size))
             op = random_permutation(rng, pool, size)
-        if isinstance(op, LinkCutOp):
-            _move(parent, op)
-        else:
-            _relabel(parent, op)
-            top = op(top)
+        _apply(parent, op)
         ops.append(op)
     return LabelledTree(parent), OperationSequence(ops)
 
@@ -151,17 +147,13 @@ def random_3dm_instance(rng, sizes=(3, 3, 3), m=3):
     a = [f"a{i}" for i in range(1, sizes[0] + 1)]
     b = [f"b{i}" for i in range(1, sizes[1] + 1)]
     c = [f"c{i}" for i in range(1, sizes[2] + 1)]
-    triples: list = []
-    occurrences: dict = {}
+    instance = ThreeDMInstance(a, b, c, ())
     for _ in range(60):
-        if len(triples) == m:
+        if instance.m == m:
             break
         t = (rng.choice(a), rng.choice(b), rng.choice(c))
-        if any(occurrences.get(e, 0) >= 3 for e in t):
-            continue
-        if any(len(set(t) & set(s)) > 1 for s in triples):
-            continue
-        triples.append(t)
-        for e in t:
-            occurrences[e] = occurrences.get(e, 0) + 1
-    return ThreeDMInstance(tuple(a), tuple(b), tuple(c), tuple(triples))
+        try:  # the constructor enforces 3-boundedness and 1-commonness
+            instance = ThreeDMInstance(a, b, c, instance.triples + (t,))
+        except TreeError:
+            pass
+    return instance

@@ -3,8 +3,12 @@
 A link-and-cut move detaches a vertex from its current parent and
 reattaches it under a new one (which must not be a descendant of the
 moved vertex).  A permutation relabels vertices by a bijection on the
-label set, leaving the topology untouched.  Both operations return new
-trees; both are invertible.
+label set, leaving the topology untouched.  Both operations are
+invertible.
+
+Only this module knows how an operation acts on a parent map: replay,
+verification, the canonical form and the generators all apply
+operations through ``_apply``.
 
 Script text format (one operation per line)::
 
@@ -26,6 +30,10 @@ __all__ = [
     "DescendantTargetError",
     "apply_permutation",
     "replay_sequence",
+    "sequence_size",
+    "canonicalize_sequence",
+    "check_sequence",
+    "verify_sequence",
     "parse_script",
     "format_script",
 ]
@@ -63,10 +71,6 @@ class LinkCutOp(namedtuple("LinkCutOp", "child source target")):
 
     def inverse(self):
         return LinkCutOp(self.child, self.target, self.source)
-
-    def relabelled(self, pi):
-        """The equivalent move after permutation ``pi`` has been applied."""
-        return LinkCutOp(pi(self.child), pi(self.source), pi(self.target))
 
     def __str__(self):
         return f"move {self.child} {self.source} {self.target}"
@@ -169,23 +173,24 @@ class OperationSequence(tuple):
 def _move(parent, op):
     """Apply one link-and-cut move to a parent map in place.
 
-    The move is valid only if ``op.source`` is the current parent of
-    ``op.child`` and ``op.target`` is not a descendant of ``op.child``;
-    the latter is checked by walking the target's ancestors, O(depth).
+    The move is valid only if ``source`` is the current parent of
+    ``child`` and ``target`` is not a descendant of ``child``; the latter
+    is checked by walking the target's ancestors, O(depth).
     """
-    for label in (op.child, op.source, op.target):
+    child, source, target = op
+    for label in op:
         if label not in parent:
             raise UnknownLabelError(f"no vertex labelled {label!r}")
-    if parent[op.child] != op.source:
+    if parent[child] != source:
         raise WrongParentError(
-            f"cannot apply {op}: parent of {op.child!r} is "
-            f"{parent[op.child]!r}, not {op.source!r}"
+            f"cannot apply {op}: parent of {child!r} is "
+            f"{parent[child]!r}, not {source!r}"
         )
-    if _in_subtree(parent, op.target, op.child):
+    if _in_subtree(parent, target, child):
         raise DescendantTargetError(
-            f"cannot apply {op}: {op.target!r} is a descendant of {op.child!r}"
+            f"cannot apply {op}: {target!r} is a descendant of {child!r}"
         )
-    parent[op.child] = op.target
+    parent[child] = target
 
 
 def _relabel(parent, pi):
@@ -199,6 +204,14 @@ def _relabel(parent, pi):
             parent[label] = mapping[par]
     # the support is permuted onto itself, so the key set stays the same
     parent.update({new: parent[old] for old, new in mapping.items()})
+
+
+def _apply(parent, op):
+    """Apply one move or permutation to a parent map in place."""
+    if isinstance(op, LinkCutOp):
+        _move(parent, op)
+    else:
+        _relabel(parent, op)
 
 
 def apply_permutation(tree, pi):
@@ -221,10 +234,7 @@ def _replay(parent, seq):
     """
     for index, op in enumerate(seq):
         try:
-            if isinstance(op, LinkCutOp):
-                _move(parent, op)
-            else:
-                _relabel(parent, op)
+            _apply(parent, op)
         except TreeError as exc:
             return index, exc
     return None
@@ -242,6 +252,67 @@ def replay_sequence(tree, seq):
     if failure is not None:
         raise failure[1]
     return LabelledTree(parent)
+
+
+def check_sequence(t1, seq, t2):
+    """Why replaying ``seq`` from ``t1`` does not reach ``t2``, or ``None``.
+
+    The operations act on a copy of ``t1``'s parent map, which is compared
+    with ``t2``'s; no tree is built.  A failure is ``(index, reason)``:
+    the 0-based index of the first invalid operation and its error
+    message, or ``len(seq)`` and the first difference when every
+    operation applies but the final tree is not congruent to ``t2``.
+    """
+    parent = t1.parent_map()
+    failure = _replay(parent, seq)
+    if failure is not None:
+        return failure[0], str(failure[1])
+    target = t2._parent
+    if parent == target:
+        return None
+    if parent.keys() != target.keys():
+        reason = "sequence replays to a tree with a different label set"
+    else:
+        label = next(v for v, p in target.items() if parent[v] != p)
+        reason = (
+            f"sequence replays to a different tree: parent of {label!r} is "
+            f"{parent[label]!r}, not {target[label]!r}"
+        )
+    return len(seq), reason
+
+
+def verify_sequence(t1, seq, t2):
+    """True iff replaying ``seq`` from ``t1`` yields a tree congruent to ``t2``.
+
+    Invalid operations during replay make the answer False rather than
+    raising; :func:`check_sequence` reports where and why.
+    """
+    return check_sequence(t1, seq, t2) is None
+
+
+def canonicalize_sequence(seq):
+    """Reorder a sequence so one composed permutation leads all moves.
+
+    A move followed by a permutation has the same effect as the
+    permutation followed by the relabelled move, so permutations commute
+    leftwards freely; all of them compose into a single one.  The result
+    replays to the same final tree and has the same size.
+    """
+    sigma = Permutation()
+    moves = []
+    for op in seq:
+        if isinstance(op, LinkCutOp):
+            moves.append(op)
+        else:
+            moves = [LinkCutOp(*map(op, m)) for m in moves]
+            sigma = sigma.then(op)
+    return OperationSequence((sigma, *moves))
+
+
+def sequence_size(seq):
+    """Size of a sequence: composed-permutation size plus move count."""
+    canonical = canonicalize_sequence(seq)
+    return canonical[0].size + len(canonical) - 1
 
 
 def parse_script(text):

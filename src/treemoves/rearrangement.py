@@ -2,7 +2,9 @@
 
 Any sequence of operations can be reordered into *canonical form*, a
 single permutation followed by link-and-cut moves only, without changing
-its effect or its size.  The distance is therefore
+its effect or its size (``ops.canonicalize_sequence`` does it: a move
+followed by a permutation equals the permutation followed by the
+relabelled move).  The distance is therefore
 
     min over permutations pi of  |pi| + linkcut_distance(pi(t1), t2)
 
@@ -36,10 +38,8 @@ from collections import namedtuple
 
 from .linkcut import _disagreements, _require_same_labels, linkcut_script
 from .ops import (
-    LinkCutOp,
     OperationSequence,
     Permutation,
-    _replay,
     apply_permutation,
     replay_sequence,  # noqa: F401  bench/tracing.py times replays at this name
 )
@@ -49,10 +49,6 @@ __all__ = [
     "RearrangementResult",
     "BudgetExceeded",
     "OracleSizeError",
-    "sequence_size",
-    "canonicalize_sequence",
-    "check_sequence",
-    "verify_sequence",
     "brute_force_distance",
     "fpt_distance",
     "approx_binary",
@@ -87,67 +83,6 @@ class BudgetExceeded(
     """
 
     __slots__ = ()
-
-
-def canonicalize_sequence(seq):
-    """Reorder a sequence so one composed permutation leads all moves.
-
-    A move followed by a permutation has the same effect as the
-    permutation followed by the relabelled move, so permutations commute
-    leftwards freely; all of them compose into a single one.  The result
-    replays to the same final tree and has the same size.
-    """
-    sigma = Permutation()
-    moves = []
-    for op in seq:
-        if isinstance(op, LinkCutOp):
-            moves.append(op)
-        else:
-            moves = [m.relabelled(op) for m in moves]
-            sigma = sigma.then(op)
-    return OperationSequence((sigma, *moves))
-
-
-def sequence_size(seq):
-    """Size of a sequence: composed-permutation size plus move count."""
-    canonical = canonicalize_sequence(seq)
-    return canonical[0].size + len(canonical) - 1
-
-
-def check_sequence(t1, seq, t2):
-    """Why replaying ``seq`` from ``t1`` does not reach ``t2``, or ``None``.
-
-    The operations act on a copy of ``t1``'s parent map, which is compared
-    with ``t2``'s; no tree is built.  A failure is ``(index, reason)``:
-    the 0-based index of the first invalid operation and its error
-    message, or ``len(seq)`` and the first difference when every
-    operation applies but the final tree is not congruent to ``t2``.
-    """
-    parent = t1.parent_map()
-    failure = _replay(parent, seq)
-    if failure is not None:
-        return failure[0], str(failure[1])
-    target = t2._parent
-    if parent == target:
-        return None
-    if parent.keys() != target.keys():
-        reason = "sequence replays to a tree with a different label set"
-    else:
-        label = next(v for v, p in target.items() if parent[v] != p)
-        reason = (
-            f"sequence replays to a different tree: parent of {label!r} is "
-            f"{parent[label]!r}, not {target[label]!r}"
-        )
-    return len(seq), reason
-
-
-def verify_sequence(t1, seq, t2):
-    """True iff replaying ``seq`` from ``t1`` yields a tree congruent to ``t2``.
-
-    Invalid operations during replay make the answer False rather than
-    raising; :func:`check_sequence` reports where and why.
-    """
-    return check_sequence(t1, seq, t2) is None
 
 
 def _partition_size(differ):

@@ -140,6 +140,25 @@ def test_parser_reuse_changes_no_output(example_files, capsys, monkeypatch):
     assert cli._build_parser.cache_info().currsize == 1
 
 
+def test_dist_approx_reports_warning_in_one_line(example_files):
+    # the first tree is not binary; with warnings as errors the answer stands
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _ONE_CALL, str(src),
+         "dist", "approx", *example_files],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "approx distance: 4", "perm", "move d b a", "move e b d", "move f b c",
+        "move b a d", "verified: true",
+    ]
+    assert proc.stderr == (
+        "warning: first tree is not binary: "
+        "the 4x approximation guarantee does not apply\n"
+    )
+
+
 def test_dist_exact_json(example_files, capsys):
     code = main(["dist", "exact", *example_files, "--json"])
     assert code == 0

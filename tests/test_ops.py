@@ -1,5 +1,6 @@
 import pickle
 import random
+import types
 
 import pytest
 
@@ -359,3 +360,37 @@ def test_replacing_a_field_runs_the_checks():
     with pytest.raises(tm.TreeError, match="not in A x B x C"):
         instance._replace(triples=[["b1", "a1", "c1"]])
     assert instance._replace(triples=[]).triples == ()
+
+
+_PUBLIC = [
+    "BadLabelError", "BudgetExceeded", "DescendantTargetError", "DuplicateLabelError",
+    "LabelSetMismatchError", "LabelledTree", "LinkCutOp", "NotIsomorphicError",
+    "OperationError", "OperationSequence", "OracleSizeError", "ParseError",
+    "Permutation", "RearrangementResult", "RootMismatchError", "StructureError",
+    "ThreeDMInstance", "TreeError", "UnknownLabelError", "WrongParentError",
+    "active_set", "apply_permutation", "approx_binary", "brute_force_distance",
+    "build_reduction", "canonicalize_sequence", "check_sequence", "family_partition",
+    "format_script", "fpt_distance", "linkcut_distance", "linkcut_script",
+    "max_matching_bruteforce", "mismatch_table", "movements_graph",
+    "optimal_permutation", "parse_instance", "parse_script", "parse_tree",
+    "permutation_distance", "reduction_bound", "replay_sequence", "sequence_size",
+    "serialize_tree", "verify_sequence",
+]
+
+
+def test_public_namespace_is_pinned():
+    # submodules show up in dir() once imported, so only non-module names count
+    names = sorted(
+        n for n in dir(tm)
+        if not n.startswith("_") and not isinstance(getattr(tm, n), types.ModuleType)
+    )
+    assert names == _PUBLIC and len(names) == 45
+    modules = [tm.tree, tm.ops, tm.linkcut, tm.permutation, tm.rearrangement,
+               tm.reduction3dm]
+    for name in names:
+        assert sum(name in module.__all__ for module in modules) == 1, name
+    assert tm.generate.__all__ == [
+        "random_recursive_tree", "random_binary_tree", "random_permutation",
+        "random_move", "random_operations", "random_relabelling",
+        "random_3dm_instance",
+    ]

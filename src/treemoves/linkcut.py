@@ -101,11 +101,10 @@ def linkcut_script(t1, t2):
     """
     _check_pair(t1, t2)
     p1, p2 = t1._parent, t2._parent
-    ops = [
-        LinkCutOp(v, p1[v], p2[v])
-        for v in t1.postorder()
-        if p1[v] != p2[v]
-    ]
+    # tree labels are valid, a vertex is never its own parent, and the
+    # tops agree, so an active label's three labels are valid and distinct
+    move = LinkCutOp._trusted
+    ops = [move(v, p1[v], p2[v]) for v in t1.postorder() if p1[v] != p2[v]]
     return OperationSequence(ops)
 
 

@@ -69,6 +69,19 @@ class LinkCutOp(namedtuple("LinkCutOp", "child source target")):
     # namedtuple's _make, and _replace through it, would skip the checks
     _make = classmethod(lambda cls, fields: cls(*fields))
 
+    @classmethod
+    def _trusted(cls, child, source, target):
+        """A move from labels its caller has already proved, unchecked.
+
+        The caller guarantees what ``__new__`` would check: the three
+        labels are valid and distinct.  Only callers whose labels come
+        from a validated tree or move use it (:func:`linkcut_script`,
+        and the relabelled moves of :func:`canonicalize_sequence`);
+        every other caller, :func:`parse_script` included, uses
+        ``LinkCutOp(child, source, target)``.
+        """
+        return tuple.__new__(cls, (child, source, target))
+
     def inverse(self):
         return LinkCutOp(self.child, self.target, self.source)
 
@@ -304,7 +317,8 @@ def canonicalize_sequence(seq):
         if isinstance(op, LinkCutOp):
             moves.append(op)
         else:
-            moves = [LinkCutOp(*map(op, m)) for m in moves]
+            # a bijection keeps a move's three labels valid and distinct
+            moves = [LinkCutOp._trusted(*map(op, m)) for m in moves]
             sigma = sigma.then(op)
     return OperationSequence((sigma, *moves))
 

@@ -5,7 +5,10 @@ move to make the first tree congruent to the second.  It equals the
 minimum number of label mismatches over all rooted isomorphisms: the
 cost of pairing two internal vertices is a minimum-weight perfect
 matching between their children (restricted to isomorphic child pairs),
-plus one if the two vertices' own labels disagree.  Total cost is O(n^3).
+plus one if the two vertices' own labels disagree.  A block of sibling
+leaves is solved in linear time, since its optimum keeps every shared
+label in place; only blocks of internal vertices go to the cubic solver.
+The total is O(n^3) in the worst case, and linear on stars and paths.
 
 Costs exist only for isomorphic pairs, which are exactly the pairs with
 equal canonical codes, so each child matching splits into one
@@ -42,14 +45,29 @@ def _canonical_codes(t1, t2):
     A vertex's code is a small integer standing for its depth and the
     sorted tuple of its children's codes.  Two vertices get the same code
     exactly when they sit at the same depth and root isomorphic subtrees.
+    One explicit-stack traversal per tree records each vertex with its
+    depth; codes are then interned in the reverse of that order, so every
+    child is coded before its parent.
     """
     interned = {}
+    setdefault = interned.setdefault
     codes = []
     for tree in (t1, t2):
-        code, depth = {}, tree.depths()
-        for v in tree.postorder():
-            key = (depth[v], tuple(sorted([code[c] for c in tree.children(v)])))
-            code[v] = interned.setdefault(key, len(interned))
+        kids = tree._children
+        order = []
+        stack = [(tree._top, 0)]
+        while stack:
+            v, d = stack.pop()
+            order.append((v, d))
+            cs = kids[v]
+            if cs:
+                d += 1
+                stack += [(c, d) for c in cs]
+        code = {}
+        for v, d in reversed(order):
+            cs = kids[v]
+            key = (d, tuple(sorted([code[c] for c in cs])) if cs else ())
+            code[v] = setdefault(key, len(interned))
         codes.append(code)
     return codes
 
@@ -70,8 +88,8 @@ class IsomorphismTable:
         self.code1, self.code2 = _canonical_codes(t1, t2)
         self.cost = {}
         self.matchings = {}
-        self._children1 = t1.children
-        self._children2 = t2.children
+        self._children1 = t1._children
+        self._children2 = t2._children
 
     def is_isomorphic(self, u, v):
         return self.code1[u] == self.code2[v]
@@ -80,7 +98,7 @@ class IsomorphismTable:
         """Least mismatch count for the pair; ``inf`` if not isomorphic."""
         if self.code1[u] != self.code2[v]:
             return _INF
-        if not self._children1(u):
+        if not self._children1[u]:
             return int(u != v)
         if (u, v) not in self.cost:
             self._fill(u, v)
@@ -114,16 +132,16 @@ class IsomorphismTable:
             x, y, blocks = stack.pop()
             if blocks is None:
                 by_code = {}
-                for a in children1(x):
+                for a in children1[x]:
                     by_code.setdefault(self.code1[a], ([], []))[0].append(a)
-                for b in children2(y):
+                for b in children2[y]:
                     by_code[self.code2[b]][1].append(b)
                 blocks = list(by_code.values())
                 stack.append((x, y, blocks))
                 stack.extend(
                     (a, b, None)
                     for xs, ys in blocks
-                    if children1(xs[0])
+                    if children1[xs[0]]
                     for a in xs
                     for b in ys
                     if (a, b) not in cost
@@ -132,19 +150,25 @@ class IsomorphismTable:
             total = int(x != y)
             pairs = []
             for xs, ys in blocks:
-                if len(xs) == 1:
+                if not children1[xs[0]]:
+                    # leaves: a zero-cost pair is (a, a), so keeping every
+                    # shared label and pairing the rest sorted-to-sorted
+                    # is optimal; xs and ys are sorted like all children
+                    shared = set(xs).intersection(ys)
+                    rest = iter([b for b in ys if b not in shared])
+                    total += len(xs) - len(shared)
+                    pairs.extend((a, a if a in shared else next(rest)) for a in xs)
+                elif len(xs) == 1:
                     # a 1 x 1 block has one matching: no solver call
                     a, b = xs[0], ys[0]
-                    total += cost[a, b] if children1(a) else int(a != b)
+                    total += cost[a, b]
                     pairs.append((a, b))
-                    continue
-                if children1(xs[0]):
-                    rows = [[cost[a, b] for b in ys] for a in xs]
                 else:
-                    rows = [[int(a != b) for b in ys] for a in xs]
-                value, match = min_cost_perfect_matching(rows)
-                total += value
-                pairs.extend((a, ys[j]) for a, j in zip(xs, match))
+                    value, match = min_cost_perfect_matching(
+                        [[cost[a, b] for b in ys] for a in xs]
+                    )
+                    total += value
+                    pairs.extend((a, ys[j]) for a, j in zip(xs, match))
             cost[x, y] = total
             self.matchings[x, y] = tuple(pairs)
 
@@ -172,7 +196,12 @@ def optimal_permutation(t1, t2):
 
     Walks one optimal isomorphism down from the roots through the stored
     child matchings; each vertex's label is sent to the label of its
-    image.
+    image.  Ties fall the same way on every call: within a block of
+    sibling leaves, each label present on both sides stays in place and
+    the other labels pair up in sorted order, the smallest unshared
+    label of t1 going to the smallest unshared label of t2; blocks of
+    internal vertices break ties as :func:`min_cost_perfect_matching`
+    does, rows and columns in label order.
     """
     _require_same_labels(t1, t2)
     table = mismatch_table(t1, t2)

@@ -234,18 +234,6 @@ class LabelledTree:
             stack.extend(self._children[v])
         return reversed(out)
 
-    def depths(self):
-        """Map label -> distance from the top vertex (top vertex is 0)."""
-        depth = {self._top: 0}
-        stack = [self._top]
-        while stack:
-            v = stack.pop()
-            d = depth[v] + 1
-            for c in self._children[v]:
-                depth[c] = d
-                stack.append(c)
-        return depth
-
     def is_binary(self):
         """True if every vertex has at most two children."""
         return all(len(self._children[v]) <= 2 for v in self._parent)

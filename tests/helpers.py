@@ -28,6 +28,17 @@ def is_descendant(tree, label, ancestor):
     return p is not None
 
 
+def depths(tree):
+    """Map label -> number of strict ancestors (the top vertex is 0)."""
+    out = {}
+    for v in tree.labels:
+        d, p = 0, tree.parent(v)
+        while p is not None:
+            d, p = d + 1, tree.parent(p)
+        out[v] = d
+    return out
+
+
 def bfs_linkcut_distance(t1, t2):
     """Shortest link-and-cut script length by BFS over all trees."""
     if t1 == t2:
@@ -145,12 +156,14 @@ def eager_mismatch_table(t1, t2):
     optimal child matching for every internal one, whether or not the
     root pair needs it.  Child blocks are solved in the same order, so
     it is kept as the reference ``mismatch_table`` must agree with, cost
-    for cost and matching for matching.  Returns a namespace with
-    ``cost`` and ``matchings``.
+    for cost and matching for matching.  Leaf blocks go to the solver
+    here too, where ``mismatch_table`` pairs their unshared labels in
+    sorted order; the two can break ties differently, though on the
+    pairs the tests compare they do not.  Returns a namespace with ``cost`` and ``matchings``.
     """
     buckets = []
     for tree in (t1, t2):
-        depth = tree.depths()
+        depth = depths(tree)
         levels = [[] for _ in range(max(depth.values()) + 1)]
         for v in sorted(depth):
             levels[depth[v]].append(v)

@@ -42,7 +42,7 @@ def test_dist_perm_json_witness(example_files, capsys):
     assert code == 0
     record = json.loads(capsys.readouterr().out)
     assert record["distance"] == 6
-    assert record["witness"] == "perm b>c c>d d>h e>g g>b h>e"
+    assert record["witness"] == "perm b>c c>d d>g e>h g>b h>e"
     assert record["verified"] is True
 
 
@@ -73,7 +73,7 @@ def test_dist_runs_without_numpy(example_files):
         {**common, "variant": "linkcut", "distance": 4, "method": "linear",
          "witness": "move d b a\nmove e b d\nmove f b c\nmove b a d"},
         {**common, "variant": "perm", "distance": 6, "method": "matching",
-         "witness": "perm b>c c>d d>h e>g g>b h>e"},
+         "witness": "perm b>c c>d d>g e>h g>b h>e"},
         {**common, "variant": "fpt", "distance": 3, "method": "fpt",
          "witness": "perm b>d d>b\nmove f d c"},
         {**common, "variant": "exact", "distance": 3, "method": "oracle",

@@ -11,8 +11,10 @@ from treemoves.generate import (
     random_recursive_tree,
     random_relabelling,
 )
+from treemoves.matching import min_cost_perfect_matching
 
 from helpers import (
+    depths,
     eager_mismatch_table,
     exhaustive_permutation_distance,
     example_pair,
@@ -238,7 +240,7 @@ def test_not_isomorphic_rejected_before_matching(monkeypatch):
     # the second tree is one level taller and the root codes differ
     rng = random.Random(71)
     t1 = random_recursive_tree(rng, 2000)
-    depth = t1.depths()
+    depth = depths(t1)
     deepest = max(sorted(depth), key=depth.get)
     leaf = next(v for v in sorted(t1.labels) if not t1.children(v) and v != deepest)
     parent = t1.parent_map()
@@ -272,6 +274,54 @@ def test_path_fills_without_solver(monkeypatch):
     assert len(table.cost) == len(labels) - 1
     assert pi.mapping == {a: b for a, b in zip(labels, images) if a != b}
     assert table.mismatch_cost(t1.root_child, t2.root_child) == pi.size
+
+
+class TestLeafBlocks:
+    """Blocks of sibling leaves are solved by rule, not by the solver."""
+
+    def test_shared_labels_stay_and_the_rest_pair_in_sorted_order(self):
+        # the five leaves form one block; c and e are leaves on both sides,
+        # and a, b, d pair with p, q, s in that order
+        t1 = tm.parse_tree("(((a,b,c,d,e)s)q)p;")
+        t2 = tm.parse_tree("(((c,e,p,q,s)b)d)a;")
+        table = tm.mismatch_table(t1, t2)
+        assert table.conserved("s", "b") == {"c", "e"}
+        assert sorted(table.matchings["s", "b"]) == [
+            ("a", "p"), ("b", "q"), ("c", "c"), ("d", "s"), ("e", "e"),
+        ]
+        pi = tm.optimal_permutation(t1, t2)
+        assert str(pi) == "perm a>p b>q d>s p>a q>d s>b"
+        assert table.mismatch_cost("p", "a") == pi.size == 6
+
+    def test_rule_cost_equals_solver(self):
+        rng = random.Random(91)
+        for _ in range(3000):
+            m = rng.randint(1, 12)
+            universe = [f"l{i}" for i in range(rng.randint(m, 2 * m))]
+            xs, ys = rng.sample(universe, m), rng.sample(universe, m)
+            t1 = tm.LabelledTree({"r": None, **{x: "r" for x in xs}})
+            t2 = tm.LabelledTree({"r": None, **{y: "r" for y in ys}})
+            expected, _ = min_cost_perfect_matching(
+                [[int(a != b) for b in ys] for a in xs]
+            )
+            table = tm.mismatch_table(t1, t2)
+            pairs = table.matchings["r", "r"]
+            assert table.mismatch_cost("r", "r") == expected
+            assert sum(a != b for a, b in pairs) == expected
+            assert sorted(a for a, _ in pairs) == sorted(xs)
+            assert sorted(b for _, b in pairs) == sorted(ys)
+
+    @pytest.mark.parametrize("leaves", [300, 1000, 10000])
+    def test_swapped_star_fills_without_solver(self, monkeypatch, leaves):
+        # the centre zz sorts after every leaf and swaps with the first one
+        names = [f"k{i:04d}" for i in range(leaves)]
+        t1 = tm.LabelledTree({"zz": None, **{v: "zz" for v in names}})
+        t2 = tm.LabelledTree({"k0000": None, **{v: "k0000" for v in ["zz", *names[1:]]}})
+        calls = []
+        monkeypatch.setattr(tm.permutation, "min_cost_perfect_matching", calls.append)
+        pi = tm.optimal_permutation(t1, t2)
+        assert calls == []
+        assert str(pi) == "perm k0000>zz zz>k0000"
 
 
 @pytest.mark.parametrize("seed", [81, 82])

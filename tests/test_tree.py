@@ -10,6 +10,7 @@ from helpers import (
     EXAMPLE_T1,
     EXAMPLE_T2,
     count_tree_builds,
+    depths,
     example_pair,
     recursive_isomorphic,
 )
@@ -205,7 +206,7 @@ class TestInvariants:
     def test_traversals(self):
         t = tm.parse_tree(EXAMPLE_T1)
         assert list(t.postorder()) == ["d", "e", "f", "b", "g", "h", "c", "a"]
-        assert t.depths() == {
+        assert depths(t) == {
             "a": 0, "b": 1, "c": 1, "d": 2, "e": 2, "f": 2, "g": 2, "h": 2,
         }
 
@@ -247,7 +248,7 @@ class TestIsomorphismTable:
             t1 = random_recursive_tree(rng, rng.randint(1, 9))
             t2 = random_recursive_tree(rng, rng.randint(1, 9), labels=None)
             table = tm.mismatch_table(t1, t2)
-            d1, d2 = t1.depths(), t2.depths()
+            d1, d2 = depths(t1), depths(t2)
             for u in t1.labels:
                 for v in t2.labels:
                     expected = d1[u] == d2[v] and recursive_isomorphic(t1, u, t2, v)

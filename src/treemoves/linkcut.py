@@ -53,10 +53,13 @@ class MovementsGraph(namedtuple("MovementsGraph", "vertices edges")):
 
 
 def _check_pair(t1, t2):
-    # the cached sorted label tuples compare faster than key views, which
-    # keeps repeated calls on the same trees cheap
-    if t1 is not t2 and t1._label_tuple() != t2._label_tuple():
+    # the key views compare as sets in one hashed pass, with no sort
+    if t1 is not t2:
         _require_same_labels(t1, t2)
+    _require_same_top(t1, t2)
+
+
+def _require_same_top(t1, t2):
     if t1.root_child != t2.root_child:
         raise RootMismatchError(
             f"top vertices differ: {t1.root_child!r} vs {t2.root_child!r}"
@@ -87,8 +90,17 @@ def family_partition(t1, t2):
 
 def linkcut_distance(t1, t2):
     """Length of the shortest link-and-cut sequence turning t1 into t2."""
+    c1, c2 = t1._codes, t2._codes
+    if c1 is not None and c2 is not None and c1[0] is c2[0]:
+        # both label sets were found equal to set(labels): no label check
+        _require_same_top(t1, t2)
+        return sum(map(ne, c1[1], c2[1]))
     _check_pair(t1, t2)
-    return sum(map(ne, t1._parent_codes(), t2._parent_codes()))
+    labels = c1[0] if c1 is not None else tuple(t1._parent)
+    index = dict(zip(labels, range(len(labels))))
+    index[None] = -1
+    codes1 = t1._parent_codes(labels, index)
+    return sum(map(ne, codes1, t2._parent_codes(labels, index)))
 
 
 def linkcut_script(t1, t2):

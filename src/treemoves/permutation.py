@@ -23,7 +23,7 @@ permutation is recovered.
 from .linkcut import _require_same_labels
 from .matching import min_cost_perfect_matching
 from .ops import Permutation
-from .tree import TreeError
+from .tree import TreeError, UnknownLabelError
 
 __all__ = [
     "NotIsomorphicError",
@@ -91,12 +91,20 @@ class IsomorphismTable:
         self._children1 = t1._children
         self._children2 = t2._children
 
+    def _code_pair(self, u, v):
+        try:
+            return self.code1[u], self.code2[v]
+        except KeyError as missing:
+            raise UnknownLabelError(f"no vertex labelled {missing.args[0]!r}") from None
+
     def is_isomorphic(self, u, v):
-        return self.code1[u] == self.code2[v]
+        code1, code2 = self._code_pair(u, v)
+        return code1 == code2
 
     def mismatch_cost(self, u, v):
         """Least mismatch count for the pair; ``inf`` if not isomorphic."""
-        if self.code1[u] != self.code2[v]:
+        code1, code2 = self._code_pair(u, v)
+        if code1 != code2:
             return _INF
         if not self._children1[u]:
             return int(u != v)

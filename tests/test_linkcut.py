@@ -170,3 +170,50 @@ def test_scan_agrees_with_code_arrays():
             assert set().union(*partition.values()) == active
         differ = _disagreements(t1._parent, t2._parent)
         assert _partition_size(differ) == len(partition)
+
+
+def test_code_cache_follows_partner_switches():
+    # a tree keeps parent codes over one label tuple at a time; switching
+    # partners must reuse or rebuild them, and a cached tree must still
+    # get every check a cold call makes
+    rng = random.Random(31)
+    labels = [f"x{i}" for i in range(200)]
+    rng.shuffle(labels)
+    top, rest = labels[0], labels[1:]
+    t1 = random_recursive_tree(rng, 200, labels)
+    rng.shuffle(rest)
+    t2 = random_recursive_tree(rng, 200, [top] + rest)
+    t3 = _reordered(rng, random_operations(rng, t1, 30, keep_top=True)[0])
+    other_top = random_recursive_tree(rng, 200, rest[:1] + [top] + rest[1:])
+    renamed = random_recursive_tree(rng, 200, labels[:-1] + ["zz"])
+    tm.linkcut_distance(renamed, renamed)  # codes over its own tuple
+    missing = (
+        f"trees are labelled by different sets "
+        f"(first only: {[labels[-1]]!r}, second only: ['zz'])"
+    )
+    swapped = (
+        f"trees are labelled by different sets "
+        f"(first only: ['zz'], second only: {[labels[-1]]!r})"
+    )
+    calls = [
+        (t1, t2, None),
+        (t3, t2, None),
+        (t2, t1, None),
+        (t1, t3, None),
+        (t1, t1, None),
+        (t1, other_top, f"top vertices differ: {top!r} vs {rest[0]!r}"),
+        (other_top, t2, f"top vertices differ: {rest[0]!r} vs {top!r}"),
+        (t1, renamed, missing),
+        (renamed, t1, swapped),
+        (t3, t1, None),
+        (renamed, renamed, None),
+    ]
+    for a, b, message in calls:
+        if message is None:
+            expected = sum(a.parent(v) != b.parent(v) for v in a.labels)
+            assert tm.linkcut_distance(a, b) == expected
+            continue
+        error = tm.RootMismatchError if "top" in message else tm.LabelSetMismatchError
+        with pytest.raises(error) as caught:
+            tm.linkcut_distance(a, b)
+        assert str(caught.value) == message

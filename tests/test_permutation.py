@@ -57,6 +57,17 @@ def test_mismatch_table_example():
     assert table.conserved("a", "a") == {"a", "f"}
 
 
+@pytest.mark.parametrize("method", ["mismatch_cost", "is_isomorphic", "conserved"])
+def test_table_rejects_unknown_labels(method):
+    # d is only in the second tree and c only in the first
+    table = tm.mismatch_table(tm.parse_tree("(b,c)a;"), tm.parse_tree("(b,d)a;"))
+    query = getattr(table, method)
+    for u, v, missing in (("d", "a", "d"), ("a", "c", "c"), ("zz", "zz", "zz")):
+        with pytest.raises(tm.UnknownLabelError) as caught:
+            query(u, v)
+        assert str(caught.value) == f"no vertex labelled {missing!r}"
+
+
 def test_table_infinity_matches_iso():
     rng = random.Random(12)
     for _ in range(20):

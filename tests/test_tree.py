@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 
 import treemoves as tm
 from treemoves.generate import random_recursive_tree, random_relabelling
 from treemoves.permutation import _canonical_codes
+from treemoves.tree import _TOKEN, _tokens
 
 from helpers import (
     EXAMPLE_T1,
@@ -105,6 +107,18 @@ class TestParse:
             tm.parse_tree(text)
         assert err.value.position == position
         assert str(err.value) == f"{message} (at position {position})"
+
+    def test_split_tokens_equal_regex_tokens(self):
+        # the parser splits with str.split while error positions re-scan
+        # with _TOKEN, so the two must agree on what is whitespace
+        for code in range(sys.maxunicode + 1):
+            text = "a" + chr(code) + "b"
+            assert _tokens(text) == _TOKEN.findall(text), hex(code)
+        rng = random.Random(27)
+        alphabet = "(),;" + " \t\n\r\x0b\x0c\x1c\x85\u3000" + "ab_.-é9"
+        for _ in range(5000):
+            text = "".join(rng.choices(alphabet, k=rng.randint(0, 40)))
+            assert _tokens(text) == _TOKEN.findall(text), repr(text)
 
     def test_first_error_in_text_order_wins(self):
         # a duplicate is reported where it is read, before a later syntax error
